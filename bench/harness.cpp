@@ -4,6 +4,8 @@
 #include <iostream>
 #include <sstream>
 
+#include "util/isa.hpp"
+
 namespace asdr::bench {
 
 nerf::NgpModelConfig
@@ -108,6 +110,7 @@ jsonEscape(const std::string &s)
 JsonLine::JsonLine(const std::string &bench)
     : body_("\"bench\": \"" + jsonEscape(bench) + "\"")
 {
+    field("isa", isa::name(isa::active()));
 }
 
 JsonLine &

@@ -81,9 +81,12 @@ double geomean(const std::vector<double> &values);
 void benchHeader(const std::string &artifact, const std::string &note);
 
 /**
- * One machine-readable result line: {"bench": <name>, ...} printed on
- * its own line so the perf-trajectory harness can grep and parse
- * results across PRs. Values are escaped minimally (quotes/backslash).
+ * One machine-readable result line: {"bench": <name>, "isa": <target>,
+ * ...} printed on its own line so the perf-trajectory harness can grep
+ * and parse results across PRs. `isa` is the kernel dispatch target the
+ * row ran with ("x86-64-v3" or "default", util/isa.hpp), so rows from
+ * different hosts or builds can be told apart. Values are escaped
+ * minimally (quotes/backslash).
  */
 class JsonLine
 {

@@ -4,10 +4,120 @@
 #include <cmath>
 
 #include "util/hashing.hpp"
+#include "util/isa.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
 
 namespace asdr::nerf {
+
+namespace {
+
+// The per-level lookup math. Every encode path -- the public locate /
+// trilinearWeights / gatherSetup and the batched setup pass -- inlines
+// these one implementations, which is what lets the batched pass run
+// them across points in SIMD lanes.
+
+/** Voxel of `pos` (unit cube) at a level of `res` voxels per axis, and
+ *  the fractional offsets used for trilinear interpolation. */
+__attribute__((always_inline)) inline void
+locateAt(int res, const Vec3 &pos, Vec3i &voxel, Vec3 &frac)
+{
+    // Clamp to the cube so boundary samples index valid lattice
+    // vertices. Scaling first and clamping to [0, res] gives the bits
+    // of std::clamp(v, 0, 1) * res for every v, -0 and NaN included
+    // (res >= 1, so a nonzero product never rounds to zero), but as
+    // plain selects the batched setup loop can vectorize.
+    const float fres = float(res);
+    const auto scaled = [fres](float v) {
+        const float s = v * fres;
+        const float lo = s < 0.0f ? 0.0f : s;
+        return fres < lo ? fres : lo;
+    };
+    const float sx = scaled(pos.x);
+    const float sy = scaled(pos.y);
+    const float sz = scaled(pos.z);
+    const int vx = std::min(int(sx), res - 1);
+    const int vy = std::min(int(sy), res - 1);
+    const int vz = std::min(int(sz), res - 1);
+    voxel = {vx, vy, vz};
+    frac = {sx - float(vx), sy - float(vy), sz - float(vz)};
+}
+
+/** Trilinear weights in voxelVertices() order; corner i's weight goes
+ *  to w[i * stride]. */
+__attribute__((always_inline)) inline void
+weightsAt(const Vec3 &frac, float *w, size_t stride)
+{
+    const float wx[2] = {1.0f - frac.x, frac.x};
+    const float wy[2] = {1.0f - frac.y, frac.y};
+    const float wz[2] = {1.0f - frac.z, frac.z};
+    for (int i = 0; i < 8; ++i)
+        w[size_t(i) * stride] = wx[i & 1] * wy[(i >> 1) & 1] * wz[(i >> 2) & 1];
+}
+
+/**
+ * GridGeometry::gatherSetup's contract for one point at a level of `res`
+ * voxels per axis: corner i's table index and weight go to
+ * idx[i * stride] and w[i * stride]. `kDense` picks the dense
+ * linearization or the Eq. (2) hash (masked by `mask`) at compile time,
+ * so a loop over points has no branch.
+ */
+template <bool kDense>
+__attribute__((always_inline)) inline void
+cornerSetup(int res, uint32_t mask, const Vec3 &pos, uint32_t *idx,
+            float *w, size_t stride)
+{
+    Vec3i voxel;
+    Vec3 frac;
+    locateAt(res, pos, voxel, frac);
+    weightsAt(frac, w, stride);
+    uint32_t c[8];
+    if (kDense) {
+        // denseIndex(v) = (z*V + y)*V + x; the 8 corners share per-axis
+        // partial sums ((z[+1])*V + y[+1])*V and x[+1].
+        const uint32_t V = uint32_t(res + 1);
+        const uint32_t x0 = uint32_t(voxel.x);
+        const uint32_t x1 = x0 + 1u;
+        const uint32_t zv0 = uint32_t(voxel.z) * V;
+        const uint32_t zv1 = (uint32_t(voxel.z) + 1u) * V;
+        const uint32_t y0 = uint32_t(voxel.y);
+        const uint32_t y1 = y0 + 1u;
+        const uint32_t r0 = (zv0 + y0) * V;
+        const uint32_t r1 = (zv0 + y1) * V;
+        const uint32_t r2 = (zv1 + y0) * V;
+        const uint32_t r3 = (zv1 + y1) * V;
+        c[0] = r0 + x0;
+        c[1] = r0 + x1;
+        c[2] = r1 + x0;
+        c[3] = r1 + x1;
+        c[4] = r2 + x0;
+        c[5] = r2 + x1;
+        c[6] = r3 + x0;
+        c[7] = r3 + x1;
+    } else {
+        // Eq. (2) hash of all 8 corners from 6 per-axis products:
+        // (x+1)*pi = x*pi + pi in uint32, so the corner hashes are XORs
+        // of precomputed halves -- identical bits to spatialHash().
+        const uint32_t hx0 = uint32_t(voxel.x) * kHashPrime1;
+        const uint32_t hx1 = hx0 + kHashPrime1;
+        const uint32_t hy0 = uint32_t(voxel.y) * kHashPrime2;
+        const uint32_t hy1 = hy0 + kHashPrime2;
+        const uint32_t hz0 = uint32_t(voxel.z) * kHashPrime3;
+        const uint32_t hz1 = hz0 + kHashPrime3;
+        c[0] = (hx0 ^ hy0 ^ hz0) & mask;
+        c[1] = (hx1 ^ hy0 ^ hz0) & mask;
+        c[2] = (hx0 ^ hy1 ^ hz0) & mask;
+        c[3] = (hx1 ^ hy1 ^ hz0) & mask;
+        c[4] = (hx0 ^ hy0 ^ hz1) & mask;
+        c[5] = (hx1 ^ hy0 ^ hz1) & mask;
+        c[6] = (hx0 ^ hy1 ^ hz1) & mask;
+        c[7] = (hx1 ^ hy1 ^ hz1) & mask;
+    }
+    for (int i = 0; i < 8; ++i)
+        idx[size_t(i) * stride] = c[i];
+}
+
+} // namespace
 
 GridGeometry::GridGeometry(const HashGridConfig &cfg) : cfg_(cfg)
 {
@@ -72,17 +182,7 @@ GridGeometry::paramCount() const
 void
 GridGeometry::locate(int l, const Vec3 &pos, Vec3i &voxel, Vec3 &frac) const
 {
-    const GridLevelInfo &info = levels_[size_t(l)];
-    float res = float(info.resolution);
-    // Clamp to the cube so boundary samples index valid lattice vertices.
-    float sx = std::clamp(pos.x, 0.0f, 1.0f) * res;
-    float sy = std::clamp(pos.y, 0.0f, 1.0f) * res;
-    float sz = std::clamp(pos.z, 0.0f, 1.0f) * res;
-    int vx = std::min(int(sx), info.resolution - 1);
-    int vy = std::min(int(sy), info.resolution - 1);
-    int vz = std::min(int(sz), info.resolution - 1);
-    voxel = {vx, vy, vz};
-    frac = {sx - float(vx), sy - float(vy), sz - float(vz)};
+    locateAt(levels_[size_t(l)].resolution, pos, voxel, frac);
 }
 
 void
@@ -97,11 +197,7 @@ GridGeometry::voxelVertices(const Vec3i &voxel, Vec3i out[8])
 void
 GridGeometry::trilinearWeights(const Vec3 &frac, float out[8])
 {
-    float wx[2] = {1.0f - frac.x, frac.x};
-    float wy[2] = {1.0f - frac.y, frac.y};
-    float wz[2] = {1.0f - frac.z, frac.z};
-    for (int i = 0; i < 8; ++i)
-        out[i] = wx[i & 1] * wy[(i >> 1) & 1] * wz[(i >> 2) & 1];
+    weightsAt(frac, out, 1);
 }
 
 void
@@ -109,52 +205,11 @@ GridGeometry::gatherSetup(int l, const Vec3 &pos, uint32_t idx[8],
                           float w[8]) const
 {
     const GridLevelInfo &info = levels_[size_t(l)];
-    Vec3i voxel;
-    Vec3 frac;
-    locate(l, pos, voxel, frac);
-    trilinearWeights(frac, w);
-    if (info.dense) {
-        // denseIndex(v) = (z*V + y)*V + x; the 8 corners share per-axis
-        // partial sums ((z[+1])*V + y[+1])*V and x[+1].
-        const uint32_t V = uint32_t(info.resolution + 1);
-        const uint32_t x0 = uint32_t(voxel.x);
-        const uint32_t x1 = x0 + 1u;
-        const uint32_t zv0 = uint32_t(voxel.z) * V;
-        const uint32_t zv1 = (uint32_t(voxel.z) + 1u) * V;
-        const uint32_t y0 = uint32_t(voxel.y);
-        const uint32_t y1 = y0 + 1u;
-        const uint32_t r0 = (zv0 + y0) * V;
-        const uint32_t r1 = (zv0 + y1) * V;
-        const uint32_t r2 = (zv1 + y0) * V;
-        const uint32_t r3 = (zv1 + y1) * V;
-        idx[0] = r0 + x0;
-        idx[1] = r0 + x1;
-        idx[2] = r1 + x0;
-        idx[3] = r1 + x1;
-        idx[4] = r2 + x0;
-        idx[5] = r2 + x1;
-        idx[6] = r3 + x0;
-        idx[7] = r3 + x1;
-    } else {
-        // Eq. (2) hash of all 8 corners from 6 per-axis products:
-        // (x+1)*pi = x*pi + pi in uint32, so the corner hashes are XORs
-        // of precomputed halves -- identical bits to spatialHash().
-        const uint32_t mask = (1u << cfg_.log2_table_size) - 1u;
-        const uint32_t hx0 = uint32_t(voxel.x) * kHashPrime1;
-        const uint32_t hx1 = hx0 + kHashPrime1;
-        const uint32_t hy0 = uint32_t(voxel.y) * kHashPrime2;
-        const uint32_t hy1 = hy0 + kHashPrime2;
-        const uint32_t hz0 = uint32_t(voxel.z) * kHashPrime3;
-        const uint32_t hz1 = hz0 + kHashPrime3;
-        idx[0] = (hx0 ^ hy0 ^ hz0) & mask;
-        idx[1] = (hx1 ^ hy0 ^ hz0) & mask;
-        idx[2] = (hx0 ^ hy1 ^ hz0) & mask;
-        idx[3] = (hx1 ^ hy1 ^ hz0) & mask;
-        idx[4] = (hx0 ^ hy0 ^ hz1) & mask;
-        idx[5] = (hx1 ^ hy0 ^ hz1) & mask;
-        idx[6] = (hx0 ^ hy1 ^ hz1) & mask;
-        idx[7] = (hx1 ^ hy1 ^ hz1) & mask;
-    }
+    const uint32_t mask = (1u << cfg_.log2_table_size) - 1u;
+    if (info.dense)
+        cornerSetup<true>(info.resolution, mask, pos, idx, w, 1);
+    else
+        cornerSetup<false>(info.resolution, mask, pos, idx, w, 1);
 }
 
 void
@@ -250,11 +305,31 @@ constexpr int kEncChunk = 512;
 /** Points per register block of the gather/interpolate pass. */
 constexpr int kEncBlock = 64;
 
+/** Pass 1 of encodeBatch over one slice of `count` <= kEncChunk points:
+ *  corner-major SoA indices and weights (corner i of point p at
+ *  [i * kEncChunk + p]). */
+template <bool kDense>
+__attribute__((always_inline)) inline void
+setupSlice(int res, uint32_t mask, const Vec3 *__restrict pos, int count,
+           uint32_t *__restrict idx, float *__restrict w)
+{
+#pragma omp simd
+    for (int p = 0; p < count; ++p)
+        cornerSetup<kDense>(res, mask, pos[p], idx + p, w + p, kEncChunk);
+}
+
 } // namespace
 
 void
 HashGrid::encodeBatch(const Vec3 *pos, int count, float *out,
                       int out_stride, EncodeReuseStats *stats) const
+{
+    ASDR_ISA_DISPATCH(encodeBatchKernel(pos, count, out, out_stride, stats));
+}
+
+__attribute__((always_inline)) inline void
+HashGrid::encodeBatchKernel(const Vec3 *pos, int count, float *out,
+                            int out_stride, EncodeReuseStats *stats) const
 {
     const int F = geom_.config().features_per_level;
     const int L = geom_.levels();
@@ -273,9 +348,10 @@ HashGrid::encodeBatch(const Vec3 *pos, int count, float *out,
     ws_idx.resize(8 * size_t(kEncChunk));
     ws_w.resize(8 * size_t(kEncChunk));
 
+    const uint32_t mask = geom_.tableSize() - 1u;
     for (int l = 0; l < L; ++l) {
-        const float *__restrict base =
-            params_.data() + geom_.level(l).param_offset;
+        const GridLevelInfo &info = geom_.level(l);
+        const float *__restrict base = params_.data() + info.param_offset;
         if (stats) {
             ws_sorted.clear();
             ws_sorted.reserve(size_t(count) * 8);
@@ -287,16 +363,15 @@ HashGrid::encodeBatch(const Vec3 *pos, int count, float *out,
         for (int c0 = 0; c0 < count; c0 += kEncChunk) {
             const int cn = std::min(kEncChunk, count - c0);
 
-            // ---- pass 1: lattice indices + trilinear weights, SoA ----
-            for (int p = 0; p < cn; ++p) {
-                uint32_t idx[8];
-                float w[8];
-                geom_.gatherSetup(l, pos[c0 + p], idx, w);
-                for (int i = 0; i < 8; ++i) {
-                    ws_idx[size_t(i) * kEncChunk + size_t(p)] = idx[i];
-                    ws_w[size_t(i) * kEncChunk + size_t(p)] = w[i];
-                }
-            }
+            // ---- pass 1: lattice indices + trilinear weights, SoA,
+            // across points in SIMD lanes (integer index math and
+            // separately rounded float ops: bitwise gatherSetup).
+            if (info.dense)
+                setupSlice<true>(info.resolution, mask, pos + c0, cn,
+                                 ws_idx.data(), ws_w.data());
+            else
+                setupSlice<false>(info.resolution, mask, pos + c0, cn,
+                                  ws_idx.data(), ws_w.data());
 
             if (stats) {
                 for (int i = 0; i < 8; ++i) {
@@ -314,10 +389,13 @@ HashGrid::encodeBatch(const Vec3 *pos, int count, float *out,
             }
 
             // ---- pass 2: gather + interpolate, register-blocked
-            // across points. Accumulation runs corner 0..7 per output
-            // feature, exactly the scalar order, so results are
-            // bit-identical; the level's table segment is the only
-            // gathered region, so it alone streams through the cache.
+            // across points. Lanes are independent points, each
+            // accumulating corner 0..7 per output feature in the scalar
+            // order with separate multiply and add (the build pins
+            // -ffp-contract=off), so every ISA target (util/isa.hpp) is
+            // bitwise equal to encode(). The level's table segment is
+            // the only gathered region, so it alone streams through
+            // the cache.
             if (F == 2) {
                 // The common NGP config: both features of a corner
                 // share one 8-byte entry load; accumulators stay in

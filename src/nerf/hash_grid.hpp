@@ -85,7 +85,7 @@ class GridGeometry
      * (x*pi1, y*pi2, z*pi3 and their +1 neighbors), so the hash costs 3
      * multiplies instead of 24. Bit-identical to index() by the
      * associativity of uint32 arithmetic. Every encode path and the
-     * batched kernel's setup pass go through this one implementation.
+     * batched kernel's setup pass inline this one implementation.
      */
     void gatherSetup(int l, const Vec3 &pos, uint32_t idx[8],
                      float w[8]) const;
@@ -160,12 +160,15 @@ class HashGrid
      * across the whole batch (ray samples are spatially clustered).
      *
      * Internally a two-pass kernel per level: (1) a setup pass computes
-     * all 8 lattice indices + trilinear weights for the whole batch
-     * into corner-major SoA workspaces, then (2) a gather/interpolate
-     * pass runs `#pragma omp simd` across points in register-blocked
-     * lanes (Mlp::forwardBatch style) with a specialized F=2 path, so
-     * each corner's weight lane streams unit-stride and the accumulators
-     * stay in registers. Bit-identical to per-point encode() calls.
+     * all 8 lattice indices + trilinear weights for the whole batch,
+     * across points in SIMD lanes, into corner-major SoA workspaces,
+     * then (2) a gather/interpolate pass runs `#pragma omp simd` across
+     * points in register-blocked lanes (Mlp::forwardBatch style) with a
+     * specialized F=2 path, so each corner's weight lane streams
+     * unit-stride and the accumulators stay in registers. Dispatched at
+     * runtime to the best ISA target
+     * (util/isa.hpp); every target is bit-identical to per-point
+     * encode() calls.
      *
      * `stats`, when non-null, accumulates per-level reuse counters for
      * this batch (measured host-side data reuse; see EncodeReuseStats).
@@ -199,6 +202,11 @@ class HashGrid
     double encodeFlops() const;
 
   private:
+    /** encodeBatch's one kernel body, inlined into each ISA target's
+     *  entry point (util/isa.hpp). */
+    void encodeBatchKernel(const Vec3 *pos, int count, float *out,
+                           int out_stride, EncodeReuseStats *stats) const;
+
     /** dst[0..F) = sum_i w[i] * table[idx[i]] at level `l` -- the one
      *  scalar interpolate shared by every encode() variant. */
     void levelInterpolate(int l, const uint32_t idx[8], const float w[8],

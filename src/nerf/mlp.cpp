@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "util/isa.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
 
@@ -16,13 +17,14 @@ constexpr int kLaneBlock = 16;
 /**
  * acc[p] = bias + wrow[0]*lanes0[p] + wrow[1]*lanes1[p] + ... -- THE
  * matvec micro-kernel shared by both forwardBatch variants. Lanes are
- * independent points, so within-point rounding matches the scalar
- * forward()'s accumulation order exactly; this one function is the
- * whole bit-identity contract. The pragma (a no-op without
- * -fopenmp-simd) keeps the lanes in vector registers; without it GCC
- * emits 16 scalar FMA chains.
+ * independent points, and the build pins -ffp-contract=off, so each
+ * lane does exactly the scalar forward()'s separate multiply and add in
+ * the same order: every ISA target (util/isa.hpp) and every lane width
+ * is bitwise equal to forward(). This one function is the whole
+ * bit-identity contract. The pragma (a no-op without -fopenmp-simd)
+ * keeps the lanes in vector registers.
  */
-inline void
+__attribute__((always_inline)) inline void
 accumulateLanes(const float *__restrict wrow, float bias, int in,
                 const float *__restrict lanes, float acc[kLaneBlock])
 {
@@ -100,6 +102,14 @@ void
 Mlp::forwardBatch(const float *in, int count, int in_stride, float *out,
                   int out_stride) const
 {
+    ASDR_ISA_DISPATCH(forwardBatchKernel(in, count, in_stride, out,
+                                         out_stride));
+}
+
+__attribute__((always_inline)) inline void
+Mlp::forwardBatchKernel(const float *in, int count, int in_stride,
+                        float *out, int out_stride) const
+{
     ASDR_ASSERT(count >= 0 && in_stride >= cfg_.input &&
                     out_stride >= cfg_.output,
                 "bad forwardBatch geometry");
@@ -176,6 +186,15 @@ Mlp::forward(const float *in, float *out, MlpWorkspace &ws) const
 void
 Mlp::forwardBatch(const float *in, int count, int in_stride, float *out,
                   int out_stride, MlpBatchWorkspace &ws) const
+{
+    ASDR_ISA_DISPATCH(forwardBatchKernel(in, count, in_stride, out,
+                                         out_stride, ws));
+}
+
+__attribute__((always_inline)) inline void
+Mlp::forwardBatchKernel(const float *in, int count, int in_stride,
+                        float *out, int out_stride,
+                        MlpBatchWorkspace &ws) const
 {
     ASDR_ASSERT(count >= 0 && in_stride >= cfg_.input &&
                     out_stride >= cfg_.output,

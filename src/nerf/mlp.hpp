@@ -59,9 +59,10 @@ class Mlp
      * input at `in + p * in_stride` and writes its output at
      * `out + p * out_stride` (strides in floats, so SoA matrices and
      * strided struct members both work). Results are bit-identical to
-     * `count` forward() calls; the win is data movement: points are
-     * processed in cache-sized blocks and each weight row is streamed
-     * once per block instead of once per point.
+     * `count` forward() calls on every ISA target (util/isa.hpp); the
+     * win is data movement and lane width: points are processed in
+     * cache-sized blocks, each weight row is streamed once per block
+     * instead of once per point, and AVX2 hosts run 8-wide lanes.
      */
     void forwardBatch(const float *in, int count, int in_stride, float *out,
                       int out_stride) const;
@@ -105,6 +106,14 @@ class Mlp
     void deserializeParams(const std::vector<float> &flat);
 
   private:
+    /** The forwardBatch kernel bodies, inlined into each ISA target's
+     *  entry point (util/isa.hpp). */
+    void forwardBatchKernel(const float *in, int count, int in_stride,
+                            float *out, int out_stride) const;
+    void forwardBatchKernel(const float *in, int count, int in_stride,
+                            float *out, int out_stride,
+                            MlpBatchWorkspace &ws) const;
+
     /** Shared backward core: acts[li] points at layer li's input
      *  activation vector (acts[layer count] = the linear output). */
     void backwardImpl(const float *const *acts, const float *dout,

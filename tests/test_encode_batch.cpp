@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include "nerf/hash_grid.hpp"
@@ -135,6 +137,38 @@ TEST(EncodeBatch, GatherSetupMatchesIndexAndWeights)
                 ASSERT_EQ(w[i], ref_w[i]) << "level " << l << " corner "
                                           << i;
             }
+        }
+    }
+}
+
+TEST(EncodeBatch, LocateClampsLikeStdClampBitForBit)
+{
+    // locate() scales and then clamps to [0, res] (plain selects the
+    // batched setup pass can vectorize); the result must carry the bits
+    // of std::clamp(v, 0, 1) * res, signed zeros included.
+    HashGridConfig cfg;
+    cfg.levels = 4;
+    cfg.base_resolution = 1;
+    cfg.max_resolution = 64;
+    const GridGeometry geom(cfg);
+    const float inf = std::numeric_limits<float>::infinity();
+    const float tiny = std::numeric_limits<float>::denorm_min();
+    const float coords[] = {-inf,  -1e30f, -1.0f, -1e-38f, -tiny,
+                            -0.0f, 0.0f,   tiny,  0.3f,    0.999999f,
+                            1.0f,  1.0f + 1e-7f,  1e30f,   inf};
+    for (int l = 0; l < geom.levels(); ++l) {
+        const int res = geom.level(l).resolution;
+        for (float v : coords) {
+            Vec3i voxel;
+            Vec3 frac;
+            geom.locate(l, {v, 0.5f, 0.5f}, voxel, frac);
+            const float s = std::clamp(v, 0.0f, 1.0f) * float(res);
+            const int vx = std::min(int(s), res - 1);
+            const float ref = s - float(vx);
+            EXPECT_EQ(voxel.x, vx) << "level " << l << " v " << v;
+            EXPECT_EQ(std::memcmp(&frac.x, &ref, sizeof(float)), 0)
+                << "level " << l << " v " << v << ": " << frac.x
+                << " vs " << ref;
         }
     }
 }
