@@ -1,8 +1,8 @@
 /**
  * @file
  * Host rendering throughput: rays/sec and Msamples/sec of the scalar
- * (point-at-a-time) path vs. the batched path (with and without
- * Morton/tile-coherent ray ordering) vs. batched + tile-parallel, at
+ * (point-at-a-time) path vs. the batched path (Morton/tile-coherent
+ * ray ordering) vs. batched + tile-parallel, at
  * several resolutions, plus a hash-encode microbenchmark (scalar vs
  * two-pass SIMD vs SIMD over Morton-ordered input), multi-frame
  * pipelining through the streaming engine, and multi-tenant serving
@@ -50,7 +50,6 @@ struct Mode
     const char *name;
     int eval_batch;
     int num_threads; // 0 = auto
-    int morton;      // RenderConfig::morton_order
 };
 
 struct Measured
@@ -66,7 +65,6 @@ measure(const nerf::RadianceField &field, const nerf::Camera &camera,
 {
     cfg.eval_batch = mode.eval_batch;
     cfg.num_threads = mode.num_threads;
-    cfg.morton_order = mode.morton;
     core::AsdrRenderer renderer(field, cfg);
     core::RenderStats stats;
     renderer.render(camera, &stats);
@@ -104,6 +102,36 @@ frameSamples(const nerf::Camera &camera, int ns, bool morton)
         samples.insert(samples.end(), positions.begin(), positions.end());
     }
     return samples;
+}
+
+/**
+ * Encode reuse measured through the renderer's actual density batches
+ * (the field's reuse-stats hook; single-threaded, as the hook
+ * requires): one batched, hence Morton-ordered, 48x48x32 frame.
+ */
+JsonLine
+renderReuseRow(const nerf::InstantNgpField &field,
+               const scene::SceneInfo &info)
+{
+    nerf::EncodeReuseStats stats;
+    field.setEncodeReuseStats(&stats);
+    core::RenderConfig cfg = core::RenderConfig::baseline(48, 48, 32);
+    cfg.early_termination = true;
+    cfg.num_threads = 1;
+    core::AsdrRenderer(field, cfg).render(
+        nerf::cameraForScene(info, 48, 48));
+    field.setEncodeReuseStats(nullptr);
+    uint64_t lookups = 0, unique = 0;
+    for (size_t l = 0; l < stats.lookups.size(); ++l) {
+        lookups += stats.lookups[l];
+        unique += stats.unique[l];
+    }
+    JsonLine row("render_reuse");
+    row.field("order", "morton")
+        .field("lookups", double(lookups))
+        .field("reuse_factor",
+               double(lookups) / double(std::max<uint64_t>(1, unique)));
+    return row;
 }
 
 /** A tenant whose field always throws: the circuit-breaker bench's
@@ -161,10 +189,9 @@ main(int argc, char **argv)
                            std::ios::app);
 
     const Mode modes[] = {
-        {"scalar", 1, 1, 0},
-        {"batched", 32, 1, 0},
-        {"batched+morton", 32, 1, 1},
-        {"batched+morton+threads", 32, 0, 1},
+        {"scalar", 1, 1},
+        {"batched+morton", 32, 1},
+        {"batched+morton+threads", 32, 0},
     };
 
     struct Shape
@@ -219,7 +246,6 @@ main(int argc, char **argv)
                          .field("mode", mode.name)
                          .field("eval_batch", mode.eval_batch)
                          .field("num_threads", mode.num_threads)
-                         .field("morton", mode.morton)
                          .field("wall_s", m.wall_s)
                          .field("rays_per_s", m.rays_per_s)
                          .field("msamples_per_s", m.msamples_per_s)
@@ -312,29 +338,7 @@ main(int argc, char **argv)
                                                          reuse.total_unique))),
                 artifact);
         }
-        for (int use_morton : {0, 1}) {
-            nerf::EncodeReuseStats stats;
-            field.setEncodeReuseStats(&stats);
-            core::RenderConfig cfg = core::RenderConfig::baseline(48, 48, 32);
-            cfg.early_termination = true;
-            cfg.num_threads = 1;
-            cfg.morton_order = use_morton;
-            core::AsdrRenderer(field, cfg).render(
-                nerf::cameraForScene(scene->info(), 48, 48));
-            field.setEncodeReuseStats(nullptr);
-            uint64_t lookups = 0, unique = 0;
-            for (size_t l = 0; l < stats.lookups.size(); ++l) {
-                lookups += stats.lookups[l];
-                unique += stats.unique[l];
-            }
-            emitBoth(JsonLine("render_reuse")
-                         .field("order", use_morton ? "morton" : "rows")
-                         .field("lookups", double(lookups))
-                         .field("reuse_factor",
-                                double(lookups) /
-                                    double(std::max<uint64_t>(1, unique))),
-                     artifact);
-        }
+        emitBoth(renderReuseRow(field, scene->info()), artifact);
     }
 
     // ---- Morton reuse at paper-scale tables: the default bench field
@@ -388,31 +392,9 @@ main(int argc, char **argv)
         }
         btable.print(std::cout);
 
-        for (int use_morton : {0, 1}) {
-            nerf::EncodeReuseStats stats;
-            big_field.setEncodeReuseStats(&stats);
-            core::RenderConfig cfg =
-                core::RenderConfig::baseline(48, 48, 32);
-            cfg.early_termination = true;
-            cfg.num_threads = 1;
-            cfg.morton_order = use_morton;
-            core::AsdrRenderer(big_field, cfg).render(
-                nerf::cameraForScene(scene->info(), 48, 48));
-            big_field.setEncodeReuseStats(nullptr);
-            uint64_t lookups = 0, unique = 0;
-            for (size_t l = 0; l < stats.lookups.size(); ++l) {
-                lookups += stats.lookups[l];
-                unique += stats.unique[l];
-            }
-            emitBoth(JsonLine("render_reuse")
-                         .field("order", use_morton ? "morton" : "rows")
-                         .field("log2_table_size", 19)
-                         .field("lookups", double(lookups))
-                         .field("reuse_factor",
-                                double(lookups) /
-                                    double(std::max<uint64_t>(1, unique))),
-                     artifact);
-        }
+        emitBoth(renderReuseRow(big_field, scene->info())
+                     .field("log2_table_size", 19),
+                 artifact);
     }
 
     // ---- multi-frame pipelining: a camera path served through the
@@ -587,103 +569,6 @@ main(int argc, char **argv)
         std::cout << report.stats.totalServed()
                   << " frames served across " << report.viewers
                   << " viewers in " << report.wall_s << " s\n";
-    }
-
-    // ---- cross-tenant sample cache: N viewers orbiting ONE scene,
-    // served uncached vs. through the scene-shared exact-key
-    // SampleCache. Viewers of a scene replay the same orbit, so every
-    // viewer past the first mostly re-reads sample evaluations its
-    // neighbors already paid for -- the hit rate should climb with
-    // viewers-per-scene and the served sample throughput should rise
-    // with it.
-    {
-        const int cw = smoke ? 16 : 32;      // frame edge
-        const int cns = smoke ? 24 : 48;     // samples per ray
-        const int cframes = smoke ? 6 : 12;  // submissions per viewer
-        // Fixed sampling (no adaptive budgets): samples per frame is
-        // exactly w*h*ns, so Msamples/s falls straight out of the
-        // served-frame rate.
-        core::RenderConfig ccfg_render =
-            core::RenderConfig::baseline(cw, cw, cns);
-
-        TextTable ctable({"viewers", "cache", "served/s", "Msamples/s",
-                          "hit rate", "hits", "misses", "evictions"});
-        for (const int viewers : {1, 4}) {
-            for (const bool cached : {false, true}) {
-                // A real NGP field, not a procedural stand-in: a cache
-                // hit must save an actual encode+MLP evaluation for
-                // the uplift to be visible.
-                server::SceneRegistry registry;
-                registry.add("Lego",
-                             std::make_unique<nerf::InstantNgpField>(
-                                 nerf::NgpModelConfig::fast(), 1234),
-                             ccfg_render, scene->info());
-
-                server::ServerConfig scfg;
-                scfg.shards = 1;
-                scfg.threads_per_shard =
-                    std::max(1, std::min(2, core::resolveThreadCount(0)));
-                scfg.frames_in_flight_per_shard = 2;
-                if (cached) {
-                    scfg.sample_cache.enabled = 1;
-                    scfg.sample_cache.quant_step = 0.0f; // bit-exact
-                    scfg.sample_cache.capacity_mb = 64;
-                }
-                server::FrameServer srv(registry, scfg);
-
-                server::WorkloadSpec spec;
-                spec.scenes = {"Lego"};
-                spec.clients[int(server::QosClass::Interactive)] = 0;
-                spec.clients[int(server::QosClass::Standard)] = viewers;
-                spec.clients[int(server::QosClass::Batch)] = 0;
-                spec.frames_per_client = cframes;
-                spec.width = cw;
-                spec.height = cw;
-                spec.burst = 1; // closed loop: no drops, pure throughput
-                server::WorkloadReport report =
-                    server::runWorkload(srv, registry, spec);
-
-                const server::ServerStatsSnapshot snap = srv.stats();
-                uint64_t hits = 0, misses = 0, evictions = 0;
-                double hit_rate = 0.0;
-                for (const server::SceneServeStats &sc : snap.scenes)
-                    if (sc.name == "Lego") {
-                        hits = sc.cache_hits;
-                        misses = sc.cache_misses;
-                        evictions = sc.cache_evictions;
-                        hit_rate = sc.cacheHitRate();
-                    }
-                const double samples_per_frame =
-                    double(cw) * double(cw) * double(cns);
-                const double msps =
-                    report.frames_per_s * samples_per_frame / 1e6;
-
-                ctable.addRow({std::to_string(viewers),
-                               cached ? "exact" : "off",
-                               fmt(report.frames_per_s, 2), fmt(msps, 2),
-                               fmt(hit_rate, 3), std::to_string(hits),
-                               std::to_string(misses),
-                               std::to_string(evictions)});
-                emitBoth(JsonLine("sample_cache")
-                             .field("scene", "Lego")
-                             .field("viewers", viewers)
-                             .field("cache", cached ? "exact" : "off")
-                             .field("quant_step", 0.0)
-                             .field("frames_per_viewer", cframes)
-                             .field("width", cw)
-                             .field("samples_per_ray", cns)
-                             .field("served_frames_per_s",
-                                    report.frames_per_s)
-                             .field("msamples_per_s", msps)
-                             .field("cache_hits", double(hits))
-                             .field("cache_misses", double(misses))
-                             .field("cache_evictions", double(evictions))
-                             .field("hit_rate", hit_rate)
-                             .field("wall_s", report.wall_s),
-                         artifact);
-            }
-        }
-        ctable.print(std::cout);
     }
 
     // ---- quality ladder: the same over-backlog burst workload with

@@ -448,10 +448,6 @@ StatsReplyMsg::encode(WireWriter &w) const
         for (int rg = 0; rg < server::kQualityRungs; ++rg)
             w.u64(s.served_rung[rg]);
         w.u64(s.degraded);
-        w.u64(s.cache_hits);
-        w.u64(s.cache_misses);
-        w.u64(s.cache_evictions);
-        w.u64(s.cache_epoch_drops);
     }
     w.u64(server.stuck_in_flight);
     w.u64(server.stuck_events);
@@ -498,9 +494,6 @@ StatsReplyMsg::decode(WireReader &r)
             if (!r.u64(s.served_rung[rg]))
                 return false;
         if (!r.u64(s.degraded))
-            return false;
-        if (!(r.u64(s.cache_hits) && r.u64(s.cache_misses) &&
-              r.u64(s.cache_evictions) && r.u64(s.cache_epoch_drops)))
             return false;
         s.peak_in_flight = int(peak);
         server.scenes.push_back(std::move(s));

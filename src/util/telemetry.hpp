@@ -92,7 +92,10 @@ inline constexpr uint8_t kQosNone = 0xFF;
 
 namespace detail {
 extern std::atomic<bool> g_enabled;
-extern thread_local uint8_t t_qos;
+/** Defined inline so every TU sees the definition: reaching an
+ *  `extern thread_local` through its TLS wrapper makes UBSan report a
+ *  store to a null pointer. */
+inline thread_local uint8_t t_qos = kQosNone;
 void recordSlow(const char *name, uint64_t frame, uint64_t ticket,
                 uint64_t t_start_us, uint64_t t_end_us);
 } // namespace detail

@@ -252,19 +252,19 @@ TEST(ParallelRender, NgpFieldBatchedFrameMatchesScalar)
 TEST(ParallelRender, MortonOrderDoesNotChangeTheFrame)
 {
     // The Morton/tile-coherent Phase II ordering must scatter results
-    // back to exactly the pixel-order frame, for every thread count and
-    // both batched paths (per-ray rows vs depth-major tiles).
+    // back to exactly the pixel-order frame of the scalar reference,
+    // for every thread count.
     RenderFixture fx("Lego", 21, 19); // non-multiple of tile_size
     RenderConfig cfg = RenderConfig::asdr(21, 19, 48);
     cfg.probe_stride = 4;
 
-    cfg.morton_order = 0;
+    cfg.eval_batch = 1; // scalar reference: row-major pixel order
     cfg.num_threads = 1;
     RenderStats s_rows;
     Image rows = AsdrRenderer(*fx.field, cfg).render(fx.camera, &s_rows);
 
+    cfg.eval_batch = 16;
     for (int threads : {1, 2, 5}) {
-        cfg.morton_order = 1;
         cfg.num_threads = threads;
         RenderStats s_tiles;
         Image tiles = AsdrRenderer(*fx.field, cfg).render(fx.camera,
@@ -301,15 +301,11 @@ TEST(ParallelRender, MortonOrderMatchesScalarOnNgpField)
     Image scalar = AsdrRenderer(ngp, cfg).render(camera);
 
     cfg.eval_batch = 16;
-    for (int morton : {0, 1}) {
-        for (int tile : {4, 8}) {
-            cfg.morton_order = morton;
-            cfg.tile_size = tile;
-            Image frame = AsdrRenderer(ngp, cfg).render(camera);
-            expectFramesIdentical(scalar, frame, "ngp morton");
-        }
+    for (int tile : {4, 8}) {
+        cfg.tile_size = tile;
+        Image frame = AsdrRenderer(ngp, cfg).render(camera);
+        expectFramesIdentical(scalar, frame, "ngp morton");
     }
-    cfg.morton_order = 1;
     cfg.num_threads = 3;
     Image threaded = AsdrRenderer(ngp, cfg).render(camera);
     expectFramesIdentical(scalar, threaded, "ngp morton threads");

@@ -4,7 +4,7 @@
  *
  *  - N frames pipelined through a FrameEngine are bit-identical to N
  *    sequential AsdrRenderer::render() calls, for every thread count,
- *    max_frames_in_flight, and both Phase II orderings.
+ *    max_frames_in_flight (batched renders run the Morton tile order).
  *  - RenderSession probe reuse: with an unchanged camera the cached
  *    Phase I plan reproduces the fresh frame bit for bit at zero probe
  *    cost; across a small camera delta it stays a close approximation.
@@ -125,54 +125,50 @@ TEST(FrameEnginePipeline, InFlightFramesMatchSequentialBitwise)
     const int W = 20, H = 20, FRAMES = 5;
     auto path = orbitCameraPath(scene->info(), W, H, FRAMES);
 
-    for (int morton : {0, 1}) {
-        RenderConfig cfg = RenderConfig::asdr(W, H, 48);
-        cfg.probe_stride = 4;
-        cfg.morton_order = morton;
-        cfg.num_threads = 1;
+    RenderConfig cfg = RenderConfig::asdr(W, H, 48);
+    cfg.probe_stride = 4;
+    cfg.num_threads = 1;
 
-        // Reference: sequential synchronous render() calls.
-        AsdrRenderer reference(field, cfg);
-        std::vector<Image> seq;
-        std::vector<RenderStats> seq_stats{size_t(FRAMES)};
-        for (int f = 0; f < FRAMES; ++f)
-            seq.push_back(
-                reference.render(path[size_t(f)], &seq_stats[size_t(f)]));
+    // Reference: sequential synchronous render() calls.
+    AsdrRenderer reference(field, cfg);
+    std::vector<Image> seq;
+    std::vector<RenderStats> seq_stats{size_t(FRAMES)};
+    for (int f = 0; f < FRAMES; ++f)
+        seq.push_back(
+            reference.render(path[size_t(f)], &seq_stats[size_t(f)]));
 
-        for (int threads : {1, 2, 4}) {
-            for (int in_flight : {1, 2, 4}) {
-                SCOPED_TRACE("morton=" + std::to_string(morton) +
-                             " threads=" + std::to_string(threads) +
-                             " in_flight=" + std::to_string(in_flight));
-                engine::EngineConfig ec;
-                ec.num_threads = threads;
-                ec.max_frames_in_flight = in_flight;
-                engine::FrameEngine eng(ec);
+    for (int threads : {1, 2, 4}) {
+        for (int in_flight : {1, 2, 4}) {
+            SCOPED_TRACE("threads=" + std::to_string(threads) +
+                         " in_flight=" + std::to_string(in_flight));
+            engine::EngineConfig ec;
+            ec.num_threads = threads;
+            ec.max_frames_in_flight = in_flight;
+            engine::FrameEngine eng(ec);
 
-                std::vector<std::future<engine::Frame>> futs;
-                for (int f = 0; f < FRAMES; ++f) {
-                    engine::FrameRequest req(path[size_t(f)]);
-                    req.field = &field;
-                    req.config = cfg;
-                    futs.push_back(eng.submit(std::move(req)));
-                }
-                for (int f = 0; f < FRAMES; ++f) {
-                    engine::Frame frame = futs[size_t(f)].get();
-                    EXPECT_EQ(frame.id, uint64_t(f + 1));
-                    expectFramesIdentical(seq[size_t(f)], frame.image,
-                                          "pipelined frame");
-                    const RenderStats &a = seq_stats[size_t(f)];
-                    const RenderStats &b = frame.stats;
-                    EXPECT_EQ(a.profile.rays, b.profile.rays);
-                    EXPECT_EQ(a.profile.probe_rays, b.profile.probe_rays);
-                    EXPECT_EQ(a.profile.points, b.profile.points);
-                    EXPECT_EQ(a.profile.color_execs, b.profile.color_execs);
-                    EXPECT_EQ(a.profile.lookups, b.profile.lookups);
-                    EXPECT_EQ(a.sample_count_map, b.sample_count_map);
-                    EXPECT_EQ(a.actual_points_map, b.actual_points_map);
-                }
-                eng.drain();
+            std::vector<std::future<engine::Frame>> futs;
+            for (int f = 0; f < FRAMES; ++f) {
+                engine::FrameRequest req(path[size_t(f)]);
+                req.field = &field;
+                req.config = cfg;
+                futs.push_back(eng.submit(std::move(req)));
             }
+            for (int f = 0; f < FRAMES; ++f) {
+                engine::Frame frame = futs[size_t(f)].get();
+                EXPECT_EQ(frame.id, uint64_t(f + 1));
+                expectFramesIdentical(seq[size_t(f)], frame.image,
+                                      "pipelined frame");
+                const RenderStats &a = seq_stats[size_t(f)];
+                const RenderStats &b = frame.stats;
+                EXPECT_EQ(a.profile.rays, b.profile.rays);
+                EXPECT_EQ(a.profile.probe_rays, b.profile.probe_rays);
+                EXPECT_EQ(a.profile.points, b.profile.points);
+                EXPECT_EQ(a.profile.color_execs, b.profile.color_execs);
+                EXPECT_EQ(a.profile.lookups, b.profile.lookups);
+                EXPECT_EQ(a.sample_count_map, b.sample_count_map);
+                EXPECT_EQ(a.actual_points_map, b.actual_points_map);
+            }
+            eng.drain();
         }
     }
 }

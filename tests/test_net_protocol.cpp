@@ -368,10 +368,6 @@ TEST(Messages, StatsReplyRoundTripIncludingScenes)
     scene.breaker_state = 1;
     scene.breaker_opens = 4;
     scene.breaker_fast_fails = 9;
-    scene.cache_hits = 1000;
-    scene.cache_misses = 250;
-    scene.cache_evictions = 12;
-    scene.cache_epoch_drops = 3;
     msg.server.scenes.push_back(scene);
     msg.server.cls[1].slo_latency_fast_burn = 1.25;
     msg.server.cls[1].slo_latency_slow_burn = 0.75;
@@ -404,10 +400,6 @@ TEST(Messages, StatsReplyRoundTripIncludingScenes)
     EXPECT_EQ(got.server.scenes[0].breaker_state, 1);
     EXPECT_EQ(got.server.scenes[0].breaker_opens, 4u);
     EXPECT_EQ(got.server.scenes[0].breaker_fast_fails, 9u);
-    EXPECT_EQ(got.server.scenes[0].cache_hits, 1000u);
-    EXPECT_EQ(got.server.scenes[0].cache_misses, 250u);
-    EXPECT_EQ(got.server.scenes[0].cache_evictions, 12u);
-    EXPECT_EQ(got.server.scenes[0].cache_epoch_drops, 3u);
     EXPECT_EQ(got.wire.frames_sent, 123u);
     EXPECT_EQ(got.wire.results_degraded, 6u);
     EXPECT_EQ(got.wire.results_parked, 7u);
