@@ -11,6 +11,7 @@
 #include "core/renderer.hpp"
 #include "nerf/hash_grid.hpp"
 #include "nerf/mlp.hpp"
+#include "nerf/ngp_field.hpp"
 #include "nerf/procedural_field.hpp"
 #include "nerf/sh_encoding.hpp"
 #include "nerf/volume_render.hpp"
@@ -87,6 +88,40 @@ BM_MlpForward(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_MlpForward)->Arg(0)->Arg(1);
+
+void
+BM_MlpForwardBatch(benchmark::State &state)
+{
+    // The NgpModelConfig::fast() networks of the fitted fields: arg 0
+    // selects density (0) or color (1), arg 1 is the batch size B.
+    // `time_per_pt` is wall time per point of the batch.
+    const nerf::NgpModelConfig fast = nerf::NgpModelConfig::fast();
+    const int enc = fast.grid.levels * fast.grid.features_per_level;
+    nerf::Mlp density({enc, fast.density_hidden, nerf::kGeoFeatures}, 1);
+    nerf::Mlp color({(nerf::kGeoFeatures - 1) + nerf::kShCoeffs,
+                     fast.color_hidden, 3},
+                    2);
+    const nerf::Mlp &mlp = state.range(0) == 0 ? density : color;
+    const int batch = int(state.range(1));
+    Rng rng(7);
+    std::vector<float> in(size_t(batch) * size_t(mlp.inputDim()));
+    for (auto &x : in)
+        x = rng.nextGaussian();
+    std::vector<float> out(size_t(batch) * size_t(mlp.outputDim()));
+    for (auto _ : state) {
+        mlp.forwardBatch(in.data(), batch, mlp.inputDim(), out.data(),
+                         mlp.outputDim());
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * batch);
+    state.counters["time_per_pt"] = benchmark::Counter(
+        double(batch), benchmark::Counter::kIsIterationInvariantRate |
+                           benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_MlpForwardBatch)
+    ->ArgNames({"color", "B"})
+    ->ArgsProduct({{0, 1}, {4, 8, 16, 64, 256}});
 
 void
 BM_Composite(benchmark::State &state)

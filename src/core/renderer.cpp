@@ -12,6 +12,18 @@
 
 namespace asdr::core {
 
+namespace {
+
+/**
+ * Anchors per tile-wide color-network call (renderTile). Fixed, so the
+ * gathered rows -- a DensityOutput each -- stay a small per-thread
+ * buffer whatever the tile's sample count; 256 keeps every 16-point
+ * MLP lane block of a chunk full.
+ */
+constexpr int kColorChunk = 256;
+
+} // namespace
+
 AsdrRenderer::AsdrRenderer(const nerf::RadianceField &field,
                            const RenderConfig &cfg)
     : field_(field), cfg_(cfg), sampler_(cfg),
@@ -158,10 +170,20 @@ AsdrRenderer::shadePoints(const nerf::Ray &ray, const Vec3 *positions,
             colors[size_t(ws.anchors[size_t(k)])] =
                 ws.anchor_col[size_t(k)];
     }
-    profile.color_execs += uint64_t(ws.anchors.size());
+    return compositeAnchored(sigma, colors, ws.anchors, cut, dt, profile,
+                             sink);
+}
+
+Vec3
+AsdrRenderer::compositeAnchored(const float *sigma, Vec3 *colors,
+                                const std::vector<int> &anchors, int cut,
+                                float dt, WorkloadProfile &profile,
+                                TraceSink *sink) const
+{
+    profile.color_execs += uint64_t(anchors.size());
 
     // ---- approximation unit fills the gaps ----
-    int filled = ColorApproximator::interpolate(colors, ws.anchors, cut);
+    int filled = ColorApproximator::interpolate(colors, anchors, cut);
     profile.approx_colors += uint64_t(filled);
     if (sink)
         for (int i = 0; i < filled; ++i)
@@ -303,7 +325,47 @@ AsdrRenderer::renderTile(const nerf::Camera &camera, int x0, int y0,
         d0 += D;
     }
 
-    // ---- shade + scatter back to pixel order ----
+    // ---- tile-wide color pass: the anchors of every ray, gathered in
+    // fixed kColorChunk-point chunks that carry per-point directions,
+    // one color-network call per chunk (full MLP lane blocks instead of
+    // one short batch per ray); results scatter into the rays' color
+    // segments. Each anchor's color is the per-point color() bitwise.
+    const int group = cfg_.color_approx ? cfg_.approx_group : 1;
+    tws.batch_pos.resize(kColorChunk);
+    tws.batch_dir.resize(kColorChunk);
+    tws.batch_den.resize(kColorChunk);
+    tws.batch_slot.resize(kColorChunk);
+    tws.batch_col.resize(kColorChunk);
+    int bn = 0;
+    auto flushColors = [&] {
+        field_.colorBatchDirs(tws.batch_pos.data(), tws.batch_dir.data(),
+                              tws.batch_den.data(), bn,
+                              tws.batch_col.data());
+        for (int k = 0; k < bn; ++k)
+            tws.colors[size_t(tws.batch_slot[size_t(k)])] =
+                tws.batch_col[size_t(k)];
+        bn = 0;
+    };
+    for (int r = 0; r < R; ++r) {
+        if (tws.n[size_t(r)] == 0)
+            continue;
+        ColorApproximator::anchorIndices(tws.cut[size_t(r)], group,
+                                         tws.anchors);
+        const int off = tws.offset[size_t(r)];
+        for (int a : tws.anchors) {
+            const size_t slot = size_t(off + a);
+            tws.batch_pos[size_t(bn)] = tws.positions[slot];
+            tws.batch_dir[size_t(bn)] = tws.rays[size_t(r)].dir;
+            tws.batch_den[size_t(bn)] = tws.density[slot];
+            tws.batch_slot[size_t(bn)] = int(slot);
+            if (++bn == kColorChunk)
+                flushColors();
+        }
+    }
+    if (bn > 0)
+        flushColors();
+
+    // ---- per ray: interpolate, composite, scatter to pixel order ----
     for (int r = 0; r < R; ++r) {
         profile.rays++;
         Vec3 color(0.0f);
@@ -312,14 +374,12 @@ AsdrRenderer::renderTile(const nerf::Camera &camera, int x0, int y0,
             profile.points += uint64_t(cut);
             profile.density_execs += uint64_t(cut);
             profile.lookups += uint64_t(cut) * uint64_t(lookups_per_point_);
+            ColorApproximator::anchorIndices(cut, group, tws.anchors);
             const int off = tws.offset[size_t(r)];
-            color = shadePoints(tws.rays[size_t(r)],
-                                tws.positions.data() + off,
-                                tws.density.data() + off,
-                                tws.sigma.data() + off,
-                                tws.colors.data() + off, cut,
-                                tws.dt[size_t(r)], /*scalar=*/false,
-                                tws.shade, profile, nullptr);
+            color = compositeAnchored(tws.sigma.data() + off,
+                                      tws.colors.data() + off, tws.anchors,
+                                      cut, tws.dt[size_t(r)], profile,
+                                      nullptr);
         }
         const int x = tws.px[size_t(r)];
         const int y = tws.py[size_t(r)];

@@ -14,13 +14,21 @@
  *          exactly the hardware's engine ordering, so software counts
  *          and simulated cycles describe the same work.
  *
- * Host execution is batch-at-a-time and tile-parallel: sample positions
- * are generated up front and evaluated through the field's batch API in
- * eval_batch-sized chunks (early termination stays exact), and both
- * phases are split into row jobs over a thread pool with per-job
- * workspaces, merged in row order. Frames are bit-identical for every
- * thread count and batch size; an attached trace sink forces the serial
- * scalar path so the event stream keeps the seed ordering.
+ * Host execution is batch-at-a-time and tile-parallel. Phase I runs one
+ * job per probe-grid row; each probe ray evaluates its samples through
+ * the field's batch API in eval_batch-sized chunks (early termination
+ * stays exact). Phase II runs one job per Morton tile (tile_size^2
+ * pixels): the tile's rays are walked along a Z-curve and marched
+ * depth-major, so each density batch holds the surviving rays at a band
+ * of consecutive depths; then one tile-wide color pass gathers every
+ * ray's anchors into fixed-size chunks with per-point directions
+ * (RadianceField::colorBatchDirs), and each ray interpolates and
+ * composites from its scattered anchor colors. Jobs run on the engine's
+ * pool with per-thread workspaces; per-job profiles merge in job order.
+ * Frames are bit-identical for every thread count, batch size and tile
+ * size to the scalar reference (eval_batch <= 1, row-major jobs); an
+ * attached trace sink forces that serial path so the event stream keeps
+ * the seed ordering.
  */
 
 #ifndef ASDR_CORE_RENDERER_HPP
@@ -219,7 +227,8 @@ class AsdrRenderer
     /**
      * Per-tile scratch of the Morton-ordered Phase II loop: SoA ray
      * state plus flat ray-major sample buffers (per-ray segments at
-     * `offset[r]`), reused across tiles per thread.
+     * `offset[r]`), reused across tiles per thread. The batch_*
+     * buffers hold one density batch, then one color chunk.
      */
     struct TileWorkspace
     {
@@ -239,19 +248,22 @@ class AsdrRenderer
         std::vector<float> sigma;
         std::vector<nerf::DensityOutput> density;
         std::vector<Vec3> colors;
-        // Depth-major evaluation chunk (gather order + scatter targets).
+        // Evaluation chunk (gather order + scatter targets).
         std::vector<Vec3> batch_pos;
         std::vector<int> batch_slot;
         std::vector<nerf::DensityOutput> batch_den;
-        RayWorkspace shade; ///< anchor scratch for the color pass
+        std::vector<Vec3> batch_dir; ///< color chunk: per-anchor direction
+        std::vector<Vec3> batch_col; ///< color chunk: network output
+        std::vector<int> anchors;    ///< one ray's anchor indices
     };
 
   private:
     /**
-     * The color + approximation + compositing tail of a marched ray
-     * (shared by renderRay and renderTile): color network at anchors,
-     * gap interpolation, Eq. (1) compositing. `scalar` selects the
-     * per-point color path (trace sinks / eval_batch <= 1).
+     * The color + approximation + compositing tail of one marched ray
+     * (renderRay: Phase I probes and the scalar/traced reference):
+     * color network at anchors, then compositeAnchored(). `scalar`
+     * selects the per-point color path (trace sinks / eval_batch <= 1);
+     * otherwise the ray's anchors form one colorBatch() call.
      */
     Vec3 shadePoints(const nerf::Ray &ray, const Vec3 *positions,
                      const nerf::DensityOutput *density,
@@ -260,12 +272,25 @@ class AsdrRenderer
                      WorkloadProfile &profile, TraceSink *sink) const;
 
     /**
+     * Shared by renderRay and renderTile once a ray's anchor colors
+     * are in `colors`: gap interpolation (the approximation unit) and
+     * Eq. (1) compositing over the first `cut` points, with the
+     * color/approximation counts charged to `profile`.
+     */
+    Vec3 compositeAnchored(const float *sigma, Vec3 *colors,
+                           const std::vector<int> &anchors, int cut,
+                           float dt, WorkloadProfile &profile,
+                           TraceSink *sink) const;
+
+    /**
      * March one tile of Phase II rays in Z-curve order, depth-major:
      * each density batch holds the tile's surviving rays at a band of
      * consecutive depths, maximizing hash-table cache-line sharing.
      * Early termination cuts each ray at exactly the index the per-ray
-     * path would, and results are scattered to pixel order, so the
-     * frame is bit-identical to renderRay over the same pixels.
+     * path would. The color network then runs once per kColorChunk
+     * anchors of the whole tile (colorBatchDirs), and results are
+     * scattered to pixel order, so the frame is bit-identical to
+     * renderRay over the same pixels.
      */
     void renderTile(const nerf::Camera &camera, int x0, int y0, int tw,
                     int th, const int *budgets, const char *probed,

@@ -21,6 +21,20 @@ RadianceField::colorBatch(const Vec3 *pos, const Vec3 &dir,
         out[p] = color(pos[p], dir, den[p]);
 }
 
+void
+RadianceField::colorBatchDirs(const Vec3 *pos, const Vec3 *dirs,
+                              const DensityOutput *den, int count,
+                              Vec3 *out) const
+{
+    for (int p0 = 0; p0 < count;) {
+        int p1 = p0 + 1;
+        while (p1 < count && sameBits(dirs[p1], dirs[p0]))
+            ++p1;
+        colorBatch(pos + p0, dirs[p0], den + p0, p1 - p0, out + p0);
+        p0 = p1;
+    }
+}
+
 TableSchema
 schemaFromGeometry(const GridGeometry &geom)
 {

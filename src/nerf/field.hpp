@@ -22,6 +22,7 @@
 
 #include <array>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -95,6 +96,15 @@ struct DensityOutput
     std::array<float, kMaxGeoFeatures> geo{};
 };
 
+/** Bitwise equality of two directions (unlike ==, -0 differs from +0
+ *  and a NaN equals itself): the run test of colorBatchDirs(). */
+inline bool
+sameBits(const Vec3 &a, const Vec3 &b)
+{
+    static_assert(sizeof(Vec3) == 3 * sizeof(float), "Vec3 has padding");
+    return std::memcmp(&a, &b, sizeof(Vec3)) == 0;
+}
+
 class GridGeometry;
 
 /** TableSchema for a multiresolution hash grid (one table per level). */
@@ -130,6 +140,22 @@ class RadianceField
     virtual void colorBatch(const Vec3 *pos, const Vec3 &dir,
                             const DensityOutput *den, int count,
                             Vec3 *out) const;
+
+    /**
+     * Batched color with a view direction per point: `out[p] =
+     * color(pos[p], dirs[p], den[p])`. The renderer batches the color
+     * anchors of a whole tile -- many rays, so many directions --
+     * through this entry. The base implementation splits the input
+     * into runs of bitwise-equal directions (one ray's anchors form a
+     * run) and calls colorBatch() once per run, so fields that only
+     * override colorBatch() see exactly their per-ray calls; fields
+     * whose color network batches across directions (InstantNgpField)
+     * override it to run one network pass over all `count` points.
+     * Same equivalence contract as densityBatch().
+     */
+    virtual void colorBatchDirs(const Vec3 *pos, const Vec3 *dirs,
+                                const DensityOutput *den, int count,
+                                Vec3 *out) const;
 
     /** Emit the embedding-table lookups querying `pos` implies. */
     virtual void traceLookups(const Vec3 &pos, LookupSink &sink) const = 0;

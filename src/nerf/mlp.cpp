@@ -14,28 +14,67 @@ namespace {
 /** Lane width of the register-blocked batch kernels. */
 constexpr int kLaneBlock = 16;
 
+/** Output rows accumulated together over one lane block. */
+constexpr int kRowBlock = 4;
+
 /**
- * acc[p] = bias + wrow[0]*lanes0[p] + wrow[1]*lanes1[p] + ... -- THE
- * matvec micro-kernel shared by both forwardBatch variants. Lanes are
- * independent points, and the build pins -ffp-contract=off, so each
- * lane does exactly the scalar forward()'s separate multiply and add in
- * the same order: every ISA target (util/isa.hpp) and every lane width
- * is bitwise equal to forward(). This one function is the whole
- * bit-identity contract. The pragma (a no-op without -fopenmp-simd)
- * keeps the lanes in vector registers.
+ * acc[r][p] = bias[r] + w[r][0]*lanes0[p] + w[r][1]*lanes1[p] + ... for
+ * R consecutive output rows r of one layer (weights row-major, `in`
+ * wide). Lanes are independent points, and the build pins
+ * -ffp-contract=off, so each lane does exactly the scalar forward()'s
+ * separate multiply and add in the same order: every ISA target
+ * (util/isa.hpp), lane width and row block is bitwise equal to
+ * forward(). Blocking R rows gives R x kLaneBlock independent add
+ * chains that share every lane load, so the kernel is bound by add
+ * throughput rather than by one chain's add latency. The pragma (a
+ * no-op without -fopenmp-simd) keeps the lanes in vector registers.
  */
+template <int R>
 __attribute__((always_inline)) inline void
-accumulateLanes(const float *__restrict wrow, float bias, int in,
-                const float *__restrict lanes, float acc[kLaneBlock])
+accumulateRows(const float *__restrict w, const float *__restrict bias,
+               int in, const float *__restrict lanes,
+               float (&acc)[R][kLaneBlock])
 {
-    for (int p = 0; p < kLaneBlock; ++p)
-        acc[p] = bias;
-    for (int i = 0; i < in; ++i) {
-        const float wv = wrow[i];
-        const float *__restrict lane = lanes + size_t(i) * kLaneBlock;
-#pragma omp simd
+    for (int r = 0; r < R; ++r)
         for (int p = 0; p < kLaneBlock; ++p)
-            acc[p] += wv * lane[p];
+            acc[r][p] = bias[r];
+    for (int i = 0; i < in; ++i) {
+        const float *__restrict lane = lanes + size_t(i) * kLaneBlock;
+        for (int r = 0; r < R; ++r) {
+            const float wv = w[size_t(r) * size_t(in) + size_t(i)];
+#pragma omp simd
+            for (int p = 0; p < kLaneBlock; ++p)
+                acc[r][p] += wv * lane[p];
+        }
+    }
+}
+
+/**
+ * One layer over one feature-major lane block (lane p of input i at
+ * lanes[i * kLaneBlock + p]): rows in blocks of kRowBlock, the
+ * remainder one at a time, each finished row handed to
+ * `emit(o, acc)` with its kLaneBlock pre-activation values. THE
+ * matvec shared by both forwardBatch variants -- this one function is
+ * the whole bit-identity contract.
+ */
+template <typename Emit>
+__attribute__((always_inline)) inline void
+layerLanes(const float *w, const float *bias, int in, int out,
+           const float *lanes, Emit &&emit)
+{
+    int o = 0;
+    for (; o + kRowBlock <= out; o += kRowBlock) {
+        float acc[kRowBlock][kLaneBlock];
+        accumulateRows<kRowBlock>(w + size_t(o) * size_t(in), bias + o, in,
+                                  lanes, acc);
+        for (int r = 0; r < kRowBlock; ++r)
+            emit(o + r, acc[r]);
+    }
+    for (; o < out; ++o) {
+        float acc[1][kLaneBlock];
+        accumulateRows<1>(w + size_t(o) * size_t(in), bias + o, in, lanes,
+                          acc);
+        emit(o, acc[0]);
     }
 }
 
@@ -117,8 +156,8 @@ Mlp::forwardBatchKernel(const float *in, int count, int in_stride,
     // points are held feature-major (lane p of feature i at
     // acts[i * kBlock + p]), so the inner loop runs *across points* --
     // independent accumulator lanes the compiler vectorizes -- while
-    // each weight row streams exactly once per block (see
-    // accumulateLanes; results are bit-identical to the scalar path).
+    // each weight row streams exactly once per block (see layerLanes;
+    // results are bit-identical to the scalar path).
     constexpr int kBlock = kLaneBlock;
     const size_t lane_w = std::max(size_t(cfg_.input), widest_);
     thread_local std::vector<float> acts_a, acts_b;
@@ -142,20 +181,19 @@ Mlp::forwardBatchKernel(const float *in, int count, int in_stride,
         for (size_t li = 0; li < layers_.size(); ++li) {
             const Layer &layer = layers_[li];
             const bool last = li + 1 == layers_.size();
-            for (int o = 0; o < layer.out; ++o) {
-                float acc[kBlock];
-                accumulateLanes(layer.w.data() + size_t(o) * layer.in,
-                                layer.b[size_t(o)], layer.in, src_t, acc);
-                if (last) {
-                    for (int p = 0; p < bn; ++p)
-                        out[size_t(p0 + p) * size_t(out_stride) +
-                            size_t(o)] = acc[p];
-                } else {
-                    float *lane = dst_t + size_t(o) * kBlock;
-                    for (int p = 0; p < kBlock; ++p)
-                        lane[p] = std::max(acc[p], 0.0f);
-                }
-            }
+            layerLanes(
+                layer.w.data(), layer.b.data(), layer.in, layer.out, src_t,
+                [&](int o, const float *acc) __attribute__((always_inline)) {
+                    if (last) {
+                        for (int p = 0; p < bn; ++p)
+                            out[size_t(p0 + p) * size_t(out_stride) +
+                                size_t(o)] = acc[p];
+                    } else {
+                        float *lane = dst_t + size_t(o) * kBlock;
+                        for (int p = 0; p < kBlock; ++p)
+                            lane[p] = std::max(acc[p], 0.0f);
+                    }
+                });
             std::swap(src_t, dst_t);
         }
     }
@@ -199,7 +237,7 @@ Mlp::forwardBatchKernel(const float *in, int count, int in_stride,
     ASDR_ASSERT(count >= 0 && in_stride >= cfg_.input &&
                     out_stride >= cfg_.output,
                 "bad forwardBatch geometry");
-    // Same accumulateLanes kernel as the inference forwardBatch above
+    // Same layerLanes kernel as the inference forwardBatch above
     // -- identical accumulation order, so outputs are bit-identical to
     // per-sample forward() -- except every layer's activations are
     // written out row-major so backward(ws, p, ...) can replay any
@@ -234,15 +272,14 @@ Mlp::forwardBatchKernel(const float *in, int count, int in_stride,
                 for (int p = bn; p < kBlock; ++p)
                     lane[p] = 0.0f;
             }
-            for (int o = 0; o < layer.out; ++o) {
-                float acc[kBlock];
-                accumulateLanes(layer.w.data() + size_t(o) * layer.in,
-                                layer.b[size_t(o)], layer.in,
-                                lanes.data(), acc);
-                for (int p = 0; p < bn; ++p)
-                    dst[size_t(p0 + p) * size_t(layer.out) + size_t(o)] =
-                        last ? acc[p] : std::max(acc[p], 0.0f);
-            }
+            layerLanes(
+                layer.w.data(), layer.b.data(), layer.in, layer.out,
+                lanes.data(),
+                [&](int o, const float *acc) __attribute__((always_inline)) {
+                    for (int p = 0; p < bn; ++p)
+                        dst[size_t(p0 + p) * size_t(layer.out) + size_t(o)] =
+                            last ? acc[p] : std::max(acc[p], 0.0f);
+                });
         }
     }
 

@@ -159,16 +159,39 @@ InstantNgpField::colorBatch(const Vec3 *pos, const Vec3 &dir,
                             Vec3 *out) const
 {
     (void)pos;
+    colorRows(&dir, 0, den, count, out);
+}
+
+void
+InstantNgpField::colorBatchDirs(const Vec3 *pos, const Vec3 *dirs,
+                                const DensityOutput *den, int count,
+                                Vec3 *out) const
+{
+    (void)pos;
+    colorRows(dirs, 1, den, count, out);
+}
+
+void
+InstantNgpField::colorRows(const Vec3 *dirs, int dir_stride,
+                           const DensityOutput *den, int count,
+                           Vec3 *out) const
+{
     constexpr int kColorIn = (kGeoFeatures - 1) + kShCoeffs;
     thread_local std::vector<float> cin, logits;
     cin.resize(size_t(kColorIn) * size_t(count));
     logits.resize(3 * size_t(count));
 
-    // One shared direction: the SH encoding is computed once and copied
-    // into every row (bit-identical to re-running shEncode per point).
+    // The SH encoding is computed once per run of bitwise-equal
+    // directions and copied into every row of the run (bit-identical to
+    // re-running shEncode per point).
     float sh[kShCoeffs];
-    shEncode(dir, sh);
+    const Vec3 *sh_dir = nullptr;
     for (int p = 0; p < count; ++p) {
+        const Vec3 *dir = dirs + size_t(p) * size_t(dir_stride);
+        if (!sh_dir || !sameBits(*dir, *sh_dir)) {
+            shEncode(*dir, sh);
+            sh_dir = dir;
+        }
         float *row = cin.data() + size_t(p) * size_t(kColorIn);
         for (int i = 0; i < kGeoFeatures - 1; ++i)
             row[i] = den[p].geo[size_t(i + 1)];

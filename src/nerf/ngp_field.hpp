@@ -56,6 +56,11 @@ class InstantNgpField : public RadianceField
     void colorBatch(const Vec3 *pos, const Vec3 &dir,
                     const DensityOutput *den, int count,
                     Vec3 *out) const override;
+    /** One SH encode per run of equal directions, then ONE color
+     *  network pass over all `count` points. */
+    void colorBatchDirs(const Vec3 *pos, const Vec3 *dirs,
+                        const DensityOutput *den, int count,
+                        Vec3 *out) const override;
     void traceLookups(const Vec3 &pos, LookupSink &sink) const override;
     TableSchema tableSchema() const override;
     FieldCosts costs() const override;
@@ -144,6 +149,11 @@ class InstantNgpField : public RadianceField
     }
 
   private:
+    /** Both color batch entries: point p's direction is
+     *  dirs[p * dir_stride] (stride 0 = one shared direction). */
+    void colorRows(const Vec3 *dirs, int dir_stride,
+                   const DensityOutput *den, int count, Vec3 *out) const;
+
     NgpModelConfig cfg_;
     HashGrid grid_;
     Mlp density_mlp_;

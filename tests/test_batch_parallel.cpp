@@ -66,28 +66,64 @@ expectBatchEqualsScalar(const RadianceField &field, int count,
         Vec3 ref = field.color(pos[size_t(i)], dir, batch_den[size_t(i)]);
         ASSERT_EQ(batch_col[size_t(i)], ref) << "point " << i;
     }
+
+    // Per-point directions: runs of 1-4 points sharing a direction (one
+    // ray's anchors in a tile's color chunk) and, at the end, -0 next to
+    // +0 (equal under ==, different directions bitwise).
+    std::vector<Vec3> dirs;
+    Rng rng(seed ^ 0xD1);
+    for (int run = 1; int(dirs.size()) < count; run = run % 4 + 1) {
+        const Vec3 d = rng.nextDirection();
+        for (int k = 0; k < run && int(dirs.size()) < count; ++k)
+            dirs.push_back(d);
+    }
+    if (count >= 2) {
+        dirs[size_t(count - 2)] = {-0.0f, 0.6f, 0.8f};
+        dirs[size_t(count - 1)] = {0.0f, 0.6f, 0.8f};
+    }
+    std::vector<Vec3> dirs_col(static_cast<size_t>(count));
+    field.colorBatchDirs(pos.data(), dirs.data(), batch_den.data(), count,
+                         dirs_col.data());
+    for (int i = 0; i < count; ++i) {
+        Vec3 ref = field.color(pos[size_t(i)], dirs[size_t(i)],
+                               batch_den[size_t(i)]);
+        ASSERT_EQ(dirs_col[size_t(i)], ref) << "point " << i << " (dirs)";
+    }
+}
+
+void
+expectMlpBatchEqualsScalar(const MlpConfig &cfg, int count)
+{
+    SCOPED_TRACE("count=" + std::to_string(count));
+    Mlp mlp(cfg, 7);
+    const int in_dim = cfg.input, out_dim = cfg.output;
+    Rng rng(8);
+    std::vector<float> in(size_t(count) * size_t(in_dim));
+    for (auto &x : in)
+        x = rng.nextGaussian();
+
+    std::vector<float> batch(size_t(count) * size_t(out_dim));
+    mlp.forwardBatch(in.data(), count, in_dim, batch.data(), out_dim);
+    std::vector<float> ref(static_cast<size_t>(out_dim));
+    for (int p = 0; p < count; ++p) {
+        mlp.forward(in.data() + size_t(p) * size_t(in_dim), ref.data());
+        for (int o = 0; o < out_dim; ++o)
+            ASSERT_EQ(batch[size_t(p) * size_t(out_dim) + size_t(o)],
+                      ref[size_t(o)])
+                << "point " << p << " out " << o;
+    }
 }
 
 } // namespace
 
 TEST(BatchEquivalence, Mlp)
 {
-    Mlp mlp({32, {64, 64}, 16}, 7);
-    const int count = 77; // crosses the internal block size
-    Rng rng(8);
-    std::vector<float> in(size_t(count) * 32);
-    for (auto &x : in)
-        x = rng.nextGaussian();
-
-    std::vector<float> batch(size_t(count) * 16);
-    mlp.forwardBatch(in.data(), count, 32, batch.data(), 16);
-    for (int p = 0; p < count; ++p) {
-        float ref[16];
-        mlp.forward(in.data() + size_t(p) * 32, ref);
-        for (int o = 0; o < 16; ++o)
-            ASSERT_EQ(batch[size_t(p) * 16 + size_t(o)], ref[o])
-                << "point " << p << " out " << o;
-    }
+    // 77 crosses the internal block size.
+    expectMlpBatchEqualsScalar({32, {64, 64}, 16}, 77);
+    // Widths that are not multiples of the 4-row block run the
+    // one-row remainder path in every layer.
+    for (int count : {1, 15, 17, 33})
+        expectMlpBatchEqualsScalar({31, {45, 7}, 3}, count);
 }
 
 TEST(BatchEquivalence, MlpStridedOutput)
@@ -309,6 +345,42 @@ TEST(ParallelRender, MortonOrderMatchesScalarOnNgpField)
     cfg.num_threads = 3;
     Image threaded = AsdrRenderer(ngp, cfg).render(camera);
     expectFramesIdentical(scalar, threaded, "ngp morton threads");
+}
+
+TEST(ParallelRender, TileColorChunksMatchScalar)
+{
+    // One 8x8 tile with far more than 256 anchors, so the tile-wide
+    // color pass splits the tile (and some rays) across several color
+    // chunks: approximation off (every point is an anchor) and
+    // approx_group 3. The random-weight network never terminates a ray
+    // early, so every ray that hits the volume keeps all its anchors.
+    InstantNgpField ngp(NgpModelConfig::fast(), 91);
+    RenderFixture fx("Lego", 8, 8);
+    for (const RadianceField *field :
+         {static_cast<const RadianceField *>(&ngp),
+          static_cast<const RadianceField *>(fx.field.get())}) {
+        for (int group : {1, 3}) {
+            SCOPED_TRACE(field->describe() +
+                         " approx_group=" + std::to_string(group));
+            RenderConfig cfg = RenderConfig::baseline(8, 8, 48);
+            cfg.early_termination = true;
+            cfg.color_approx = group > 1;
+            cfg.approx_group = group;
+            cfg.num_threads = 1;
+
+            cfg.eval_batch = 1; // scalar reference
+            RenderStats ss;
+            Image scalar = AsdrRenderer(*field, cfg).render(fx.camera, &ss);
+            cfg.eval_batch = 32;
+            RenderStats sb;
+            Image tiled = AsdrRenderer(*field, cfg).render(fx.camera, &sb);
+            expectFramesIdentical(scalar, tiled, "tile color chunks");
+            EXPECT_GT(sb.profile.color_execs, 2u * 256u)
+                << "the tile must span several color chunks";
+            EXPECT_EQ(ss.profile.color_execs, sb.profile.color_execs);
+            EXPECT_EQ(ss.profile.approx_colors, sb.profile.approx_colors);
+        }
+    }
 }
 
 TEST(ParallelRender, SinkForcesSerialButSameFrame)

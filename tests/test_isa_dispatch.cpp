@@ -17,6 +17,7 @@
 #include <memory>
 #include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/renderer.hpp"
@@ -119,17 +120,31 @@ TEST_P(IsaDispatch, PinsTheActiveTarget)
 
 TEST_P(IsaDispatch, MlpForwardBatchMatchesScalar)
 {
-    Mlp mlp({32, {64, 64}, 16}, 7);
-    for (int count : {1, 5, 16, 77}) {
-        const std::vector<float> in = gaussians(size_t(count) * 32, 8);
-        std::vector<float> batch(size_t(count) * 16);
-        mlp.forwardBatch(in.data(), count, 32, batch.data(), 16);
-        for (int p = 0; p < count; ++p) {
-            float ref[16];
-            mlp.forward(in.data() + size_t(p) * 32, ref);
-            for (int o = 0; o < 16; ++o)
-                ASSERT_EQ(batch[size_t(p) * 16 + size_t(o)], ref[o])
-                    << "count " << count << " point " << p << " out " << o;
+    // The second shape's widths are not multiples of the 4-row block,
+    // so every layer also runs the one-row remainder path.
+    const std::pair<MlpConfig, std::vector<int>> cases[] = {
+        {{32, {64, 64}, 16}, {1, 5, 16, 77}},
+        {{31, {45, 7}, 3}, {1, 15, 17, 33}},
+    };
+    for (const auto &[cfg, counts] : cases) {
+        Mlp mlp(cfg, 7);
+        const int in_dim = cfg.input, out_dim = cfg.output;
+        for (int count : counts) {
+            const std::vector<float> in =
+                gaussians(size_t(count) * size_t(in_dim), 8);
+            std::vector<float> batch(size_t(count) * size_t(out_dim));
+            mlp.forwardBatch(in.data(), count, in_dim, batch.data(),
+                             out_dim);
+            std::vector<float> ref(static_cast<size_t>(out_dim));
+            for (int p = 0; p < count; ++p) {
+                mlp.forward(in.data() + size_t(p) * size_t(in_dim),
+                            ref.data());
+                for (int o = 0; o < out_dim; ++o)
+                    ASSERT_EQ(batch[size_t(p) * size_t(out_dim) + size_t(o)],
+                              ref[size_t(o)])
+                        << "input " << in_dim << " count " << count
+                        << " point " << p << " out " << o;
+            }
         }
     }
 }
@@ -154,27 +169,44 @@ TEST_P(IsaDispatch, MlpForwardBatchStridedOutput)
 
 TEST_P(IsaDispatch, MlpTrainingForwardBatchMatchesScalar)
 {
-    Mlp mlp({12, {24, 20}, 5}, 11);
-    const int count = 37;
-    const std::vector<float> in = gaussians(size_t(count) * 12, 12);
-    std::vector<float> batch(size_t(count) * 5);
-    MlpBatchWorkspace bws;
-    mlp.forwardBatch(in.data(), count, 12, batch.data(), 5, bws);
-    ASSERT_EQ(bws.count, count);
-    for (int p = 0; p < count; ++p) {
-        float ref[5];
-        MlpWorkspace ws;
-        mlp.forward(in.data() + size_t(p) * 12, ref, ws);
-        for (int o = 0; o < 5; ++o)
-            ASSERT_EQ(batch[size_t(p) * 5 + size_t(o)], ref[o])
-                << "point " << p << " out " << o;
-        // Every retained activation, so backward replays exactly.
-        for (size_t li = 1; li < ws.acts.size(); ++li) {
-            const size_t width = ws.acts[li].size();
-            for (size_t k = 0; k < width; ++k)
-                ASSERT_EQ(bws.acts[li][size_t(p) * width + k],
-                          ws.acts[li][k])
-                    << "point " << p << " layer " << li << " unit " << k;
+    // As above: the second shape runs the one-row remainder path.
+    const std::pair<MlpConfig, std::vector<int>> cases[] = {
+        {{12, {24, 20}, 5}, {37}},
+        {{31, {45, 7}, 3}, {1, 15, 17, 33}},
+    };
+    for (const auto &[cfg, counts] : cases) {
+        Mlp mlp(cfg, 11);
+        const int in_dim = cfg.input, out_dim = cfg.output;
+        for (int count : counts) {
+            const std::vector<float> in =
+                gaussians(size_t(count) * size_t(in_dim), 12);
+            std::vector<float> batch(size_t(count) * size_t(out_dim));
+            MlpBatchWorkspace bws;
+            mlp.forwardBatch(in.data(), count, in_dim, batch.data(),
+                             out_dim, bws);
+            ASSERT_EQ(bws.count, count);
+            std::vector<float> ref(static_cast<size_t>(out_dim));
+            for (int p = 0; p < count; ++p) {
+                MlpWorkspace ws;
+                mlp.forward(in.data() + size_t(p) * size_t(in_dim),
+                            ref.data(), ws);
+                for (int o = 0; o < out_dim; ++o)
+                    ASSERT_EQ(batch[size_t(p) * size_t(out_dim) + size_t(o)],
+                              ref[size_t(o)])
+                        << "input " << in_dim << " count " << count
+                        << " point " << p << " out " << o;
+                // Every retained activation, so backward replays
+                // exactly.
+                for (size_t li = 1; li < ws.acts.size(); ++li) {
+                    const size_t width = ws.acts[li].size();
+                    for (size_t k = 0; k < width; ++k)
+                        ASSERT_EQ(bws.acts[li][size_t(p) * width + k],
+                                  ws.acts[li][k])
+                            << "input " << in_dim << " count " << count
+                            << " point " << p << " layer " << li
+                            << " unit " << k;
+                }
+            }
         }
     }
 }
