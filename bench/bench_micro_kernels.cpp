@@ -1,12 +1,16 @@
 /**
  * @file
  * google-benchmark microkernels for the hot paths of the library: hash
- * encoding, trilinear fusion, MLP forward passes (reference shapes),
- * volume compositing, register-cache probes, address mapping, and the
- * end-to-end per-ray pipeline.
+ * encoding (per point, and batched per ISA target), trilinear fusion,
+ * MLP forward passes (reference shapes), volume compositing,
+ * register-cache probes, address mapping, and the end-to-end per-ray
+ * pipeline.
  */
 
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <vector>
 
 #include "core/renderer.hpp"
 #include "nerf/hash_grid.hpp"
@@ -19,6 +23,7 @@
 #include "sim/address_mapping.hpp"
 #include "sim/register_cache.hpp"
 #include "util/hashing.hpp"
+#include "util/isa.hpp"
 #include "util/rng.hpp"
 
 using namespace asdr;
@@ -47,6 +52,81 @@ BM_HashGridEncode(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_HashGridEncode);
+
+/** The sample positions of a marched ray bundle, depth-major (every
+ *  ray's sample d before any ray's sample d + 1), as the renderer's
+ *  tile pass hands them to densityBatch: an 8x8 pixel tile at the
+ *  center of a 64x64 Lego view, 128 samples per ray over the unit
+ *  cube. */
+const std::vector<Vec3> &
+rayBundlePositions()
+{
+    static const std::vector<Vec3> positions = [] {
+        constexpr int kSamples = 128;
+        auto scene = scene::createScene("Lego");
+        const nerf::Camera camera =
+            nerf::cameraForScene(scene->info(), 64, 64);
+        std::vector<nerf::Ray> rays;
+        std::vector<float> t0, dt;
+        for (int y = 28; y < 36; ++y)
+            for (int x = 28; x < 36; ++x) {
+                const nerf::Ray ray =
+                    camera.ray(float(x) + 0.5f, float(y) + 0.5f);
+                float a, b;
+                if (!nerf::intersectUnitCube(ray, a, b))
+                    continue;
+                rays.push_back(ray);
+                t0.push_back(a);
+                dt.push_back((b - a) / float(kSamples));
+            }
+        std::vector<Vec3> pos;
+        for (int d = 0; d < kSamples; ++d)
+            for (size_t r = 0; r < rays.size(); ++r)
+                pos.push_back(rays[r].origin +
+                              rays[r].dir *
+                                  (t0[r] + (float(d) + 0.5f) * dt[r]));
+        return pos;
+    }();
+    return positions;
+}
+
+void
+BM_HashGridEncodeBatch(benchmark::State &state)
+{
+    // The NgpModelConfig::fast() grid (16 levels, T = 2^15, F = 2) over
+    // a marched ray bundle, encoded in batches of B points on the ISA
+    // target of arg 0 (util/isa.hpp). `time_per_pt` is wall time per
+    // encoded point.
+    const auto target = isa::Target(state.range(0));
+    if (!isa::runs(target)) {
+        state.SkipWithError("ISA target not runnable on this host");
+        return;
+    }
+    const isa::ScopedTarget pin(target);
+    const nerf::HashGrid grid(nerf::NgpModelConfig::fast().grid, 1);
+    const int fd = grid.featureDim();
+    const int batch = int(state.range(1));
+    const std::vector<Vec3> &pos = rayBundlePositions();
+    const int total = int(pos.size());
+    std::vector<float> out(size_t(batch) * size_t(fd));
+    for (auto _ : state) {
+        for (int p0 = 0; p0 < total; p0 += batch) {
+            grid.encodeBatch(pos.data() + p0, std::min(batch, total - p0),
+                             out.data(), fd);
+            benchmark::DoNotOptimize(out.data());
+            benchmark::ClobberMemory();
+        }
+    }
+    state.SetLabel(isa::name(target));
+    state.SetItemsProcessed(state.iterations() * total);
+    state.counters["time_per_pt"] = benchmark::Counter(
+        double(total), benchmark::Counter::kIsIterationInvariantRate |
+                           benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_HashGridEncodeBatch)
+    ->ArgNames({"isa", "B"})
+    ->ArgsProduct({{int(isa::Target::Default), int(isa::Target::X86_64_V3)},
+                   {16, 64, 512}});
 
 void
 BM_SpatialHash(benchmark::State &state)

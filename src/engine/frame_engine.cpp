@@ -230,9 +230,10 @@ FrameEngine::launchLocked(InFlight *f)
     }
     f->started_at = std::chrono::steady_clock::now();
     const core::AsdrRenderer *r = f->renderer;
-    // Derive the stage-graph shape once and store it: beginFrame must
-    // see exactly the shape the graph was sized from (frameShape reads
-    // env-dependent state, so re-deriving it later could disagree).
+    // Derive the stage-graph shape once and store it: the graph below
+    // is sized from it and beginFrame reads the stored copy instead of
+    // deriving it again. frameShape depends only on the renderer's
+    // config and the frame size.
     const core::FrameShape shape =
         r->frameShape(f->req.camera.width(), f->req.camera.height());
     f->fs.shape = shape;

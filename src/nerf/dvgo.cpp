@@ -144,6 +144,8 @@ DvgoField::DvgoField(const DvgoConfig &cfg, uint64_t seed)
                  seed ^ 0xD60ull)
 {
     ASDR_ASSERT(!cfg.resolutions.empty(), "DVGO needs feature grids");
+    ASDR_ASSERT(featureDim() + kShCoeffs <= kMaxColorInput,
+                "DVGO color input wider than kMaxColorInput");
     uint64_t s = seed;
     feature_grids_.resize(cfg.resolutions.size());
     for (size_t l = 0; l < cfg.resolutions.size(); ++l)
@@ -168,7 +170,7 @@ DvgoField::color(const Vec3 &pos, const Vec3 &dir,
                  const DensityOutput &den) const
 {
     (void)den;
-    float cin[kMaxGeoFeatures + kShCoeffs];
+    float cin[kMaxColorInput];
     int offset = 0;
     for (const auto &grid : feature_grids_) {
         grid.read(pos, cin + offset);
@@ -296,7 +298,7 @@ DvgoField::trainStep(const InstantNgpField::TrainSample &s)
     density_grid_.read(s.pos, &raw);
     float sigma = softplus(raw - 1.0f);
 
-    float cin[kMaxGeoFeatures + kShCoeffs];
+    float cin[kMaxColorInput];
     int offset = 0;
     for (const auto &grid : feature_grids_) {
         grid.read(s.pos, cin + offset);
@@ -324,7 +326,7 @@ DvgoField::trainStep(const InstantNgpField::TrainSample &s)
     dlogits[1] = cw * 2.0f * cdiff.y * c.y * (1.0f - c.y);
     dlogits[2] = cw * 2.0f * cdiff.z * c.z * (1.0f - c.z);
 
-    float dcin[kMaxGeoFeatures + kShCoeffs];
+    float dcin[kMaxColorInput];
     color_mlp_.backward(ws, dlogits, dcin);
     offset = 0;
     for (auto &grid : feature_grids_) {

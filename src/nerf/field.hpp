@@ -33,8 +33,10 @@ namespace asdr::nerf {
 /** Geometry feature width out of the NGP density network (sigma + 15). */
 constexpr int kGeoFeatures = 16;
 
-/** Upper bound on any field's geometry-feature width. */
-constexpr int kMaxGeoFeatures = 32;
+/** Upper bound on the input width of the DVGO and TensoRF color
+ *  networks (grid or appearance features + SH coefficients): it sizes
+ *  their per-point stack rows, and their constructors assert it. */
+constexpr int kMaxColorInput = 48;
 
 /** One embedding-table entry access, as seen by the architecture. */
 struct VertexLookup
@@ -88,12 +90,19 @@ struct FieldCosts
     int lookups_per_point = 0;
 };
 
-/** Density-network result: sigma plus the geometry feature vector that
- *  feeds the color network (paper Fig. 2c). */
+/**
+ * Density-network result: sigma plus the geometry feature vector that
+ * feeds the color network (paper Fig. 2c). Only InstantNgpField fills
+ * all kGeoFeatures floats (the raw density logit, then the 15 features
+ * its color network reads); DVGO and TensoRF write geo[0] only and
+ * ProceduralField geo[0..3]. The row is 68 bytes: the renderer keeps
+ * one per marched sample and copies it into color batches, so its size
+ * is per-point traffic.
+ */
 struct DensityOutput
 {
     float sigma = 0.0f;
-    std::array<float, kMaxGeoFeatures> geo{};
+    std::array<float, kGeoFeatures> geo{};
 };
 
 /** Bitwise equality of two directions (unlike ==, -0 differs from +0

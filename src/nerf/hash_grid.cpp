@@ -8,6 +8,10 @@
 #include "util/logging.hpp"
 #include "util/rng.hpp"
 
+#if ASDR_ISA_HAS_X86_64_V3
+#include <immintrin.h>
+#endif
+
 namespace asdr::nerf {
 
 namespace {
@@ -313,6 +317,73 @@ setupSlice(int res, uint32_t mask, const Vec3 *__restrict pos, int count,
         cornerSetup<kDense>(res, mask, pos[p], idx + p, w + p, kEncChunk);
 }
 
+#if ASDR_ISA_HAS_X86_64_V3
+/**
+ * Pass 2 of encodeBatch for F=2 on the x86-64-v3 target, 4 points per
+ * iteration: one qword gather per corner fetches the four points' 8-byte
+ * entries (f0, f1 interleaved), the weights are duplicated to match,
+ * and the products are accumulated like the scalar loop -- from 0,
+ * corner 0..7 in order, multiply and add rounded separately -- so every
+ * lane is bitwise the scalar result. (Seeding the accumulator with
+ * corner 0's product instead would turn 0 + -0 into -0.)
+ *
+ * GCC's generic tuning never emits vgather for the scalar loop, hence
+ * the intrinsics; they live in this target-only function because the
+ * kernel body is also compiled for the default target. One qword
+ * gather loads half the elements of the two dword gathers (one per
+ * feature) the same points would need, and measured faster per point
+ * than that form. Indices stay below 2^24 (the table size), so the
+ * scaled offsets fit the signed 32-bit gather index.
+ */
+__attribute__((target("avx,avx2,fma,bmi,bmi2,f16c,lzcnt,movbe,xsave")))
+void
+interpolateF2Avx2(const float *__restrict base,
+                  const uint32_t *__restrict idx,
+                  const float *__restrict w, int count,
+                  float *__restrict out, size_t out_stride)
+{
+    const long long *entries = reinterpret_cast<const long long *>(base);
+    const __m256i dup = _mm256_setr_epi32(0, 0, 1, 1, 2, 2, 3, 3);
+    int p = 0;
+    for (; p + 4 <= count; p += 4) {
+        __m256 acc = _mm256_setzero_ps();
+        for (int i = 0; i < 8; ++i) {
+            const size_t k = size_t(i) * kEncChunk + size_t(p);
+            const __m128i vi = _mm_loadu_si128(
+                reinterpret_cast<const __m128i *>(idx + k));
+            const __m256 e = _mm256_castsi256_ps(
+                _mm256_i32gather_epi64(entries, vi, 8));
+            const __m256 wv = _mm256_permutevar8x32_ps(
+                _mm256_castps128_ps256(_mm_loadu_ps(w + k)), dup);
+            acc = _mm256_add_ps(acc, _mm256_mul_ps(wv, e));
+        }
+        // acc holds (f0, f1) of points p..p+3: one 8-byte store per
+        // output row.
+        const __m128 lo = _mm256_castps256_ps128(acc);
+        const __m128 hi = _mm256_extractf128_ps(acc, 1);
+        float *dst = out + size_t(p) * out_stride;
+        _mm_storel_pi(reinterpret_cast<__m64 *>(dst), lo);
+        _mm_storeh_pi(reinterpret_cast<__m64 *>(dst + out_stride), lo);
+        _mm_storel_pi(reinterpret_cast<__m64 *>(dst + 2 * out_stride), hi);
+        _mm_storeh_pi(reinterpret_cast<__m64 *>(dst + 3 * out_stride), hi);
+    }
+    // Tail: the same op sequence, one point at a time.
+    for (; p < count; ++p) {
+        float a0 = 0.0f;
+        float a1 = 0.0f;
+        for (int i = 0; i < 8; ++i) {
+            const size_t k = size_t(i) * kEncChunk + size_t(p);
+            const float *e = base + size_t(idx[k]) * 2;
+            a0 += w[k] * e[0];
+            a1 += w[k] * e[1];
+        }
+        float *dst = out + size_t(p) * out_stride;
+        dst[0] = a0;
+        dst[1] = a1;
+    }
+}
+#endif
+
 } // namespace
 
 void
@@ -343,6 +414,10 @@ HashGrid::encodeBatchKernel(const Vec3 *pos, int count, float *out,
     ws_idx.resize(8 * size_t(kEncChunk));
     ws_w.resize(8 * size_t(kEncChunk));
 
+#if ASDR_ISA_HAS_X86_64_V3
+    const bool hw_gather =
+        F == 2 && isa::active() == isa::Target::X86_64_V3;
+#endif
     const uint32_t mask = geom_.tableSize() - 1u;
     for (int l = 0; l < L; ++l) {
         const GridLevelInfo &info = geom_.level(l);
@@ -383,14 +458,24 @@ HashGrid::encodeBatchKernel(const Vec3 *pos, int count, float *out,
                 has_prev = true;
             }
 
-            // ---- pass 2: gather + interpolate, register-blocked
-            // across points. Lanes are independent points, each
-            // accumulating corner 0..7 per output feature in the scalar
-            // order with separate multiply and add (the build pins
-            // -ffp-contract=off), so every ISA target (util/isa.hpp) is
-            // bitwise equal to encode(). The level's table segment is
-            // the only gathered region, so it alone streams through
-            // the cache.
+            // ---- pass 2: gather + interpolate across points (AVX2
+            // hardware gathers for F=2 on the v3 target, else
+            // register-blocked lanes). Lanes are independent points,
+            // each accumulating corner 0..7 per output feature in the
+            // scalar order with separate multiply and add (the build
+            // pins -ffp-contract=off), so every ISA target
+            // (util/isa.hpp) is bitwise equal to encode(). The level's
+            // table segment is the only gathered region, so it alone
+            // streams through the cache.
+#if ASDR_ISA_HAS_X86_64_V3
+            if (hw_gather) {
+                interpolateF2Avx2(base, ws_idx.data(), ws_w.data(), cn,
+                                  out + size_t(c0) * size_t(out_stride) +
+                                      size_t(l) * 2,
+                                  size_t(out_stride));
+                continue;
+            }
+#endif
             if (F == 2) {
                 // The common NGP config: both features of a corner
                 // share one 8-byte entry load; accumulators stay in

@@ -144,14 +144,15 @@ class HashGrid
      * walked in the outer loop so one level's table region stays hot
      * across the whole batch (ray samples are spatially clustered).
      *
-     * Internally a two-pass kernel per level: (1) a setup pass computes
-     * all 8 lattice indices + trilinear weights for the whole batch,
-     * across points in SIMD lanes, into corner-major SoA workspaces,
-     * then (2) a gather/interpolate pass runs `#pragma omp simd` across
-     * points in register-blocked lanes (Mlp::forwardBatch style) with a
-     * specialized F=2 path, so each corner's weight lane streams
-     * unit-stride and the accumulators stay in registers. Dispatched at
-     * runtime to the best ISA target
+     * Internally a two-pass kernel per level over 512-point slices:
+     * (1) a setup pass computes all 8 lattice indices + trilinear
+     * weights for the slice, across points in SIMD lanes, into
+     * corner-major SoA workspaces, then (2) a gather/interpolate pass
+     * reads each corner's index and weight lanes unit-stride. For F=2
+     * (the NGP config) the x86-64-v3 target runs pass 2 with AVX2
+     * hardware gathers, 4 points per iteration; the default target,
+     * and every F != 2, runs the scalar register-blocked loop, which is
+     * the reference. Dispatched at runtime to the best ISA target
      * (util/isa.hpp); every target is bit-identical to per-point
      * encode() calls.
      *

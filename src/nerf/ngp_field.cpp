@@ -147,8 +147,6 @@ InstantNgpField::densityBatch(const Vec3 *pos, int count,
     for (int p = 0; p < count; ++p) {
         const float *g = geo.data() + size_t(p) * size_t(kGeoFeatures);
         std::copy(g, g + kGeoFeatures, out[p].geo.begin());
-        std::fill(out[p].geo.begin() + kGeoFeatures, out[p].geo.end(),
-                  0.0f);
         out[p].sigma = sigmaActivation(g[0]);
     }
 }

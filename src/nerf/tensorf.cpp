@@ -12,6 +12,11 @@ namespace asdr::nerf {
 
 namespace {
 
+/** Rank bound of the per-point plane/line scratch arrays. The
+ *  constructor asserts the density rank against it; the appearance rank
+ *  is bounded tighter by kMaxColorInput (3 * rank + SH <= 48). */
+constexpr int kMaxComponents = 16;
+
 float
 softplus(float x)
 {
@@ -73,6 +78,10 @@ TensorfField::TensorfField(const TensorfConfig &cfg, uint64_t seed)
                  seed ^ 0x7E45ull)
 {
     ASDR_ASSERT(cfg.resolution >= 4, "TensoRF resolution too small");
+    ASDR_ASSERT(cfg.density_components <= kMaxComponents,
+                "TensoRF density rank above kMaxComponents");
+    ASDR_ASSERT(3 * cfg.appearance_components + kShCoeffs <= kMaxColorInput,
+                "TensoRF color input wider than kMaxColorInput");
     uint64_t s = seed;
     size_t plane_n = size_t(cfg.resolution) * size_t(cfg.resolution);
     for (int o = 0; o < 3; ++o) {
@@ -181,7 +190,7 @@ DensityOutput
 TensorfField::density(const Vec3 &pos) const
 {
     const int C = cfg_.density_components;
-    float pv[16], lv[16];
+    float pv[kMaxComponents], lv[kMaxComponents];
     float raw = 0.0f;
     for (int o = 0; o < 3; ++o) {
         float u, v, w;
@@ -203,8 +212,8 @@ TensorfField::color(const Vec3 &pos, const Vec3 &dir,
 {
     (void)den;
     const int C = cfg_.appearance_components;
-    float cin[kMaxGeoFeatures + kShCoeffs];
-    float pv[32], lv[32];
+    float cin[kMaxColorInput];
+    float pv[kMaxComponents], lv[kMaxComponents];
     for (int o = 0; o < 3; ++o) {
         float u, v, w;
         orientationCoords(o, pos, u, v, w);
@@ -234,7 +243,7 @@ TensorfField::colorBatch(const Vec3 *pos, const Vec3 &dir,
 
     float sh[kShCoeffs];
     shEncode(dir, sh);
-    float pv[32], lv[32];
+    float pv[kMaxComponents], lv[kMaxComponents];
     for (int p = 0; p < count; ++p) {
         float *row = cin.data() + size_t(p) * size_t(ci);
         for (int o = 0; o < 3; ++o) {
@@ -365,7 +374,8 @@ TensorfField::trainStep(const InstantNgpField::TrainSample &s)
     const int Ca = cfg_.appearance_components;
 
     // ---- forward ----
-    float dpv[3][16], dlv[3][16]; // density plane/line values
+    // Density plane/line values.
+    float dpv[3][kMaxComponents], dlv[3][kMaxComponents];
     float raw = 0.0f;
     for (int o = 0; o < 3; ++o) {
         float u, v, w;
@@ -377,8 +387,8 @@ TensorfField::trainStep(const InstantNgpField::TrainSample &s)
     }
     float sigma = softplus(raw - 1.0f);
 
-    float apv[3][32], alv[3][32];
-    float cin[kMaxGeoFeatures + kShCoeffs];
+    float apv[3][kMaxComponents], alv[3][kMaxComponents];
+    float cin[kMaxColorInput];
     for (int o = 0; o < 3; ++o) {
         float u, v, w;
         orientationCoords(o, s.pos, u, v, w);
@@ -409,10 +419,10 @@ TensorfField::trainStep(const InstantNgpField::TrainSample &s)
     dlogits[1] = cw * 2.0f * cdiff.y * c.y * (1.0f - c.y);
     dlogits[2] = cw * 2.0f * cdiff.z * c.z * (1.0f - c.z);
 
-    float dcin[kMaxGeoFeatures + kShCoeffs];
+    float dcin[kMaxColorInput];
     color_mlp_.backward(ws, dlogits, dcin);
 
-    float dbuf[32];
+    float dbuf[kMaxComponents];
     for (int o = 0; o < 3; ++o) {
         float u, v, w;
         orientationCoords(o, s.pos, u, v, w);

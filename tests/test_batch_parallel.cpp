@@ -53,9 +53,8 @@ expectBatchEqualsScalar(const RadianceField &field, int count,
     for (int i = 0; i < count; ++i) {
         DensityOutput ref = field.density(pos[size_t(i)]);
         ASSERT_EQ(batch_den[size_t(i)].sigma, ref.sigma) << "point " << i;
-        for (int f = 0; f < kMaxGeoFeatures; ++f)
-            ASSERT_EQ(batch_den[size_t(i)].geo[size_t(f)],
-                      ref.geo[size_t(f)])
+        for (size_t f = 0; f < ref.geo.size(); ++f)
+            ASSERT_EQ(batch_den[size_t(i)].geo[f], ref.geo[f])
                 << "point " << i << " geo " << f;
     }
 

@@ -9,6 +9,7 @@
 #include "core/renderer.hpp"
 #include "image/metrics.hpp"
 #include "nerf/dvgo.hpp"
+#include "nerf/sh_encoding.hpp"
 #include "scene/scene_library.hpp"
 #include "sim/accelerator.hpp"
 #include "util/rng.hpp"
@@ -56,6 +57,20 @@ TEST(Dvgo, OutputsFiniteAndBounded)
             EXPECT_LT(c[ch], 1.0f);
         }
     }
+}
+
+TEST(Dvgo, RejectsColorInputPastBound)
+{
+    // 16 grids x 2 features + 16 SH = kMaxColorInput fits; one more
+    // grid would overrun the per-point color-input rows.
+    DvgoConfig cfg = tinyDvgo();
+    cfg.resolutions.assign(16, 4);
+    ASSERT_EQ(cfg.features_per_level * 16 + kShCoeffs, kMaxColorInput);
+    DvgoField widest(cfg, 3);
+    EXPECT_TRUE(std::isfinite(
+        widest.color({0.5f, 0.5f, 0.5f}, {0.0f, 0.0f, 1.0f}, {}).x));
+    cfg.resolutions.push_back(4);
+    EXPECT_DEATH({ DvgoField field(cfg, 3); }, "kMaxColorInput");
 }
 
 TEST(Dvgo, LookupStructureMatchesSchema)

@@ -303,6 +303,28 @@ TEST(Tensorf, OutputsFiniteAndBounded)
     }
 }
 
+TEST(Tensorf, RejectsRanksPastScratchBounds)
+{
+    // Appearance rank 10: 3 * 10 + 16 SH <= kMaxColorInput fits; 11
+    // would overrun the per-point color-input rows. Density rank 16 is
+    // the plane/line scratch bound.
+    TensorfConfig cfg = tinyTensorf();
+    cfg.appearance_components = 10;
+    cfg.density_components = 16;
+    TensorfField widest(cfg, 23);
+    const DensityOutput den = widest.density({0.5f, 0.5f, 0.5f});
+    EXPECT_TRUE(std::isfinite(den.sigma));
+    EXPECT_TRUE(std::isfinite(
+        widest.color({0.5f, 0.5f, 0.5f}, {0.0f, 0.0f, 1.0f}, den).x));
+
+    TensorfConfig wide_app = cfg;
+    wide_app.appearance_components = 11;
+    EXPECT_DEATH({ TensorfField field(wide_app, 23); }, "kMaxColorInput");
+    TensorfConfig wide_den = cfg;
+    wide_den.density_components = 17;
+    EXPECT_DEATH({ TensorfField field(wide_den, 23); }, "kMaxComponents");
+}
+
 TEST(Tensorf, LookupStructure)
 {
     TensorfField field(tinyTensorf(), 22);

@@ -13,6 +13,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <ostream>
@@ -69,10 +72,19 @@ positions(int count, uint64_t seed)
     return pos;
 }
 
-void
-expectEncodeMatchesScalar(const HashGridConfig &cfg, int count)
+/** The bits of `v`: unlike ==, tells -0 from +0. */
+uint32_t
+bitsOf(float v)
 {
-    HashGrid grid(cfg, 0xD15);
+    uint32_t b;
+    std::memcpy(&b, &v, sizeof b);
+    return b;
+}
+
+/** encodeBatch == per-point encode(), bitwise. */
+void
+expectEncodeMatchesScalar(const HashGrid &grid, int count)
+{
     const int fd = grid.featureDim();
     const std::vector<Vec3> pos = positions(count, uint64_t(count));
     std::vector<float> batch(size_t(count) * size_t(fd));
@@ -81,10 +93,16 @@ expectEncodeMatchesScalar(const HashGridConfig &cfg, int count)
     for (int p = 0; p < count; ++p) {
         grid.encode(pos[size_t(p)], ref.data());
         for (int f = 0; f < fd; ++f)
-            ASSERT_EQ(batch[size_t(p) * size_t(fd) + size_t(f)],
-                      ref[size_t(f)])
+            ASSERT_EQ(bitsOf(batch[size_t(p) * size_t(fd) + size_t(f)]),
+                      bitsOf(ref[size_t(f)]))
                 << "count " << count << " point " << p << " feature " << f;
     }
+}
+
+void
+expectEncodeMatchesScalar(const HashGridConfig &cfg, int count)
+{
+    expectEncodeMatchesScalar(HashGrid(cfg, 0xD15), count);
 }
 
 /** x = 1 + 2^-12, y = 1 + 2^-11: x*x - y is 0 when the product is
@@ -213,16 +231,39 @@ TEST_P(IsaDispatch, MlpTrainingForwardBatchMatchesScalar)
 
 TEST_P(IsaDispatch, HashGridEncodeF2MatchesScalar)
 {
-    // Dense lower levels and hashed upper ones; counts cross the
-    // register block (64) and the setup slice (512).
+    // Dense lower levels and hashed upper ones; counts straddle the
+    // v3 target's 4-point gather step, the 8-float vector width, the
+    // default target's register block (64) and the setup slice (512).
     HashGridConfig cfg;
     cfg.levels = 10;
     cfg.log2_table_size = 12;
     cfg.base_resolution = 4;
     cfg.max_resolution = 256;
     ASSERT_EQ(cfg.features_per_level, 2);
-    for (int count : {1, 63, 65, 600})
+    for (int count : {1, 3, 4, 7, 8, 9, 63, 65, 511, 513, 600})
         expectEncodeMatchesScalar(cfg, count);
+
+    // All entries -0: every corner product is -0, so the scalar sum
+    // 0 + -0 + ... is +0 while an accumulator seeded with corner 0's
+    // product would end at -0 (the bitwise compare tells them apart).
+    HashGrid zeros(cfg, 0xD15);
+    std::fill(zeros.params().begin(), zeros.params().end(), -0.0f);
+    for (int count : {3, 8, 9})
+        expectEncodeMatchesScalar(zeros, count);
+
+    // A dense 129^3 level and a hashed level over a 2^22 entry table:
+    // entry offsets up to 2^23 floats pin the 32-bit gather index
+    // arithmetic.
+    HashGridConfig large;
+    large.levels = 2;
+    large.log2_table_size = 22;
+    large.base_resolution = 128;
+    large.max_resolution = 2048;
+    const GridGeometry geom(large);
+    ASSERT_TRUE(geom.level(0).dense);
+    ASSERT_FALSE(geom.level(1).dense);
+    for (int count : {9, 600})
+        expectEncodeMatchesScalar(large, count);
 }
 
 TEST_P(IsaDispatch, HashGridEncodeGenericFMatchesScalar)
