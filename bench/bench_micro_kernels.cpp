@@ -125,7 +125,8 @@ BM_HashGridEncodeBatch(benchmark::State &state)
 }
 BENCHMARK(BM_HashGridEncodeBatch)
     ->ArgNames({"isa", "B"})
-    ->ArgsProduct({{int(isa::Target::Default), int(isa::Target::X86_64_V3)},
+    ->ArgsProduct({{int(isa::Target::Default), int(isa::Target::X86_64_V3),
+                    int(isa::Target::X86_64_V4)},
                    {16, 64, 512}});
 
 void
@@ -172,17 +173,25 @@ BENCHMARK(BM_MlpForward)->Arg(0)->Arg(1);
 void
 BM_MlpForwardBatch(benchmark::State &state)
 {
-    // The NgpModelConfig::fast() networks of the fitted fields: arg 0
-    // selects density (0) or color (1), arg 1 is the batch size B.
-    // `time_per_pt` is wall time per point of the batch.
+    // The NgpModelConfig::fast() networks of the fitted fields on the
+    // ISA target of arg 0 (util/isa.hpp): arg 1 selects density (0) or
+    // color (1), arg 2 is the batch size B (32 is the Phase I density
+    // batch, 48 about the Phase II mean). `time_per_pt` is wall time
+    // per point of the batch.
+    const auto target = isa::Target(state.range(0));
+    if (!isa::runs(target)) {
+        state.SkipWithError("ISA target not runnable on this host");
+        return;
+    }
+    const isa::ScopedTarget pin(target);
     const nerf::NgpModelConfig fast = nerf::NgpModelConfig::fast();
     const int enc = fast.grid.levels * fast.grid.features_per_level;
     nerf::Mlp density({enc, fast.density_hidden, nerf::kGeoFeatures}, 1);
     nerf::Mlp color({(nerf::kGeoFeatures - 1) + nerf::kShCoeffs,
                      fast.color_hidden, 3},
                     2);
-    const nerf::Mlp &mlp = state.range(0) == 0 ? density : color;
-    const int batch = int(state.range(1));
+    const nerf::Mlp &mlp = state.range(1) == 0 ? density : color;
+    const int batch = int(state.range(2));
     Rng rng(7);
     std::vector<float> in(size_t(batch) * size_t(mlp.inputDim()));
     for (auto &x : in)
@@ -194,14 +203,18 @@ BM_MlpForwardBatch(benchmark::State &state)
         benchmark::DoNotOptimize(out.data());
         benchmark::ClobberMemory();
     }
+    state.SetLabel(isa::name(target));
     state.SetItemsProcessed(state.iterations() * batch);
     state.counters["time_per_pt"] = benchmark::Counter(
         double(batch), benchmark::Counter::kIsIterationInvariantRate |
                            benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_MlpForwardBatch)
-    ->ArgNames({"color", "B"})
-    ->ArgsProduct({{0, 1}, {4, 8, 16, 64, 256}});
+    ->ArgNames({"isa", "color", "B"})
+    ->ArgsProduct({{int(isa::Target::Default), int(isa::Target::X86_64_V3),
+                    int(isa::Target::X86_64_V4)},
+                   {0, 1},
+                   {4, 8, 16, 32, 48, 64, 256}});
 
 void
 BM_Composite(benchmark::State &state)

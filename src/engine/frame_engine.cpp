@@ -31,7 +31,6 @@ struct FrameEngine::InFlight
     bool async = false; ///< deliver via callback/completed queue, no promise
     bool fresh_probes = false; ///< update the session cache on completion
     bool ran_probes = false;   ///< a fresh Phase I ran (session stats)
-    bool track_reuse = false;  ///< encode-reuse hook attached
     uint64_t session_epoch = 0; ///< session probe epoch at admission
     std::chrono::steady_clock::time_point started_at; ///< admission time
     std::atomic<bool> delivered{false}; ///< outcome handed to a consumer
@@ -189,11 +188,8 @@ FrameEngine::pumpLocked(std::vector<std::unique_ptr<InFlight>> &failed)
             launchLocked(f);
         } catch (...) {
             // Admission failed (e.g. allocation) before any task was
-            // queued: undo the hook claim, hand the frame to the caller
-            // to fail outside the lock, and free its slot instead of
-            // wedging the queue.
-            if (f->track_reuse && f->req.session)
-                f->req.session->detachReuseHook();
+            // queued: hand the frame to the caller to fail outside the
+            // lock, and free its slot instead of wedging the queue.
             auto it = frames_.find(id);
             it->second->graph.setError(std::current_exception());
             failed.push_back(std::move(it->second));
@@ -246,11 +242,6 @@ FrameEngine::launchLocked(InFlight *f)
         f->fresh_probes = f->ran_probes && !f->req.bypass_probe_cache &&
                           session->sessionConfig().reuse_probes;
         f->session_epoch = session->probeEpoch();
-        // The encode-reuse hook needs a strictly single-threaded,
-        // one-frame-at-a-time render; ignore the request otherwise.
-        if (session->sessionConfig().track_encode_reuse &&
-            pool_.workerCount() == 1 && cfg_.max_frames_in_flight == 1)
-            f->track_reuse = session->attachReuseHook();
     }
 
     // ---- the frame's stage graph ----
@@ -308,8 +299,6 @@ FrameEngine::launchLocked(InFlight *f)
                                      f->req.ticket);
             RenderSession *s = f->req.session;
             if (s) {
-                if (f->track_reuse)
-                    s->detachReuseHook();
                 if (f->fresh_probes)
                     s->storeProbeCache(f->fs, f->id, f->session_epoch);
                 s->onFrameDone(f->ran_probes, f->fs.probes_reused);
@@ -346,11 +335,9 @@ FrameEngine::frameDone(uint64_t id)
         undelivered_ += int(failed.size()) + (dead_needs_delivery ? 1 : 0);
     }
     // A stage threw: the finalize node was skipped (nothing delivered),
-    // so hand the error to the consumer and undo the hook attachment.
+    // so hand the error to the consumer.
     int delivered_now = 0;
     if (dead_needs_delivery) {
-        if (dead->track_reuse && dead->req.session)
-            dead->req.session->detachReuseHook();
         std::exception_ptr err = dead->graph.error();
         deliver(dead.get(), Frame{},
                 err ? err

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "nerf/ngp_field.hpp"
-
 namespace asdr::engine {
 
 RenderSession::RenderSession(const nerf::RadianceField &field,
@@ -12,7 +10,6 @@ RenderSession::RenderSession(const nerf::RadianceField &field,
                              const SessionConfig &session_cfg)
     : field_(field), renderer_(field, cfg), scfg_(session_cfg)
 {
-    encode_reuse_.reset(0);
 }
 
 SessionStats
@@ -142,27 +139,6 @@ RenderSession::onFrameDone(bool fresh_probes, bool reused_probes)
         stats_.probe_frames++;
     if (reused_probes)
         stats_.probe_reuses++;
-}
-
-bool
-RenderSession::attachReuseHook()
-{
-    const auto *ngp = dynamic_cast<const nerf::InstantNgpField *>(&field_);
-    if (!ngp)
-        return false;
-    if (encode_reuse_.lookups.empty())
-        encode_reuse_.reset(ngp->gridGeometry().levels());
-    // Sessions sharing one field race for the single hook pointer; a
-    // losing session simply goes untracked this frame.
-    return ngp->tryAttachEncodeReuseStats(&encode_reuse_);
-}
-
-void
-RenderSession::detachReuseHook()
-{
-    if (const auto *ngp =
-            dynamic_cast<const nerf::InstantNgpField *>(&field_))
-        ngp->detachEncodeReuseStats(&encode_reuse_);
 }
 
 } // namespace asdr::engine

@@ -12,10 +12,6 @@
  *    render when the camera is unchanged, an approximation across
  *    small deltas (the paper's Phase I difficulty varies smoothly with
  *    viewpoint, which is what makes the reuse sound).
- *  - per-session EncodeReuseStats, accumulating the batched encode's
- *    measured table reuse across the session's frames (only honored on
- *    a single-worker, serial engine -- the field's stats hook requires
- *    a single-threaded render).
  *  - SessionStats: frames served, Phase I runs, cache hits.
  *
  * Sessions are handed to FrameEngine::submit(); all mutation happens
@@ -33,7 +29,6 @@
 #include <vector>
 
 #include "core/renderer.hpp"
-#include "nerf/hash_grid.hpp"
 
 namespace asdr::engine {
 
@@ -50,10 +45,6 @@ struct SessionConfig
     float max_position_delta = 0.0f;
     /** Max view-direction change, measured as 1 - dot(fwd, cached). */
     float max_forward_delta = 0.0f;
-    /** Accumulate EncodeReuseStats across this session's frames (only
-     *  honored when the engine runs one worker and one frame in
-     *  flight; silently ignored otherwise). */
-    bool track_encode_reuse = false;
 };
 
 struct SessionStats
@@ -88,14 +79,6 @@ class RenderSession
 
     SessionStats stats() const;
 
-    /** Session-lifetime encode-reuse accumulator (see SessionConfig).
-     *  Read between frames; the engine writes through the field's hook
-     *  while a tracked frame renders. */
-    const nerf::EncodeReuseStats &encodeReuseStats() const
-    {
-        return encode_reuse_;
-    }
-
     /** Drop the cached probe profile (e.g. after mutating the field). */
     void invalidateProbeCache();
 
@@ -125,12 +108,6 @@ class RenderSession
 
     void onFrameDone(bool fresh_probes, bool reused_probes);
 
-    /** Attach the session's EncodeReuseStats to the field's batched
-     *  encode hook (InstantNGP only). Returns false when the field has
-     *  no hook. */
-    bool attachReuseHook();
-    void detachReuseHook();
-
   private:
     const nerf::RadianceField &field_;
     core::AsdrRenderer renderer_;
@@ -141,7 +118,6 @@ class RenderSession
 
     mutable std::mutex m_;
     SessionStats stats_;
-    nerf::EncodeReuseStats encode_reuse_;
 
     // --- probe cache (guarded by m_) ---
     bool cache_valid_ = false;

@@ -8,7 +8,7 @@
 #include "util/logging.hpp"
 #include "util/rng.hpp"
 
-#if ASDR_ISA_HAS_X86_64_V3
+#if ASDR_ISA_HAS_X86_64_LEVELS
 #include <immintrin.h>
 #endif
 
@@ -317,15 +317,16 @@ setupSlice(int res, uint32_t mask, const Vec3 *__restrict pos, int count,
         cornerSetup<kDense>(res, mask, pos[p], idx + p, w + p, kEncChunk);
 }
 
-#if ASDR_ISA_HAS_X86_64_V3
+#if ASDR_ISA_HAS_X86_64_LEVELS
 /**
- * Pass 2 of encodeBatch for F=2 on the x86-64-v3 target, 4 points per
- * iteration: one qword gather per corner fetches the four points' 8-byte
- * entries (f0, f1 interleaved), the weights are duplicated to match,
- * and the products are accumulated like the scalar loop -- from 0,
- * corner 0..7 in order, multiply and add rounded separately -- so every
- * lane is bitwise the scalar result. (Seeding the accumulator with
- * corner 0's product instead would turn 0 + -0 into -0.)
+ * Pass 2 of encodeBatch for F=2 on the x86-64-v3 and -v4 targets, 4
+ * points per iteration: one qword gather per corner fetches the four
+ * points' 8-byte entries (f0, f1 interleaved), the weights are
+ * duplicated to match, and the products are accumulated like the
+ * scalar loop -- from 0, corner 0..7 in order, multiply and add rounded
+ * separately -- so every lane is bitwise the scalar result. (Seeding
+ * the accumulator with corner 0's product instead would turn 0 + -0
+ * into -0.)
  *
  * GCC's generic tuning never emits vgather for the scalar loop, hence
  * the intrinsics; they live in this target-only function because the
@@ -335,7 +336,7 @@ setupSlice(int res, uint32_t mask, const Vec3 *__restrict pos, int count,
  * than that form. Indices stay below 2^24 (the table size), so the
  * scaled offsets fit the signed 32-bit gather index.
  */
-__attribute__((target("avx,avx2,fma,bmi,bmi2,f16c,lzcnt,movbe,xsave")))
+__attribute__((target(ASDR_ISA_X86_64_V3_FEATURES)))
 void
 interpolateF2Avx2(const float *__restrict base,
                   const uint32_t *__restrict idx,
@@ -386,15 +387,9 @@ interpolateF2Avx2(const float *__restrict base,
 
 } // namespace
 
-void
-HashGrid::encodeBatch(const Vec3 *pos, int count, float *out,
-                      int out_stride, EncodeReuseStats *stats) const
-{
-    ASDR_ISA_DISPATCH(encodeBatchKernel(pos, count, out, out_stride, stats));
-}
-
 __attribute__((always_inline)) inline void
-HashGrid::encodeBatchKernel(const Vec3 *pos, int count, float *out,
+HashGrid::encodeBatchKernel([[maybe_unused]] isa::Target target,
+                            const Vec3 *pos, int count, float *out,
                             int out_stride, EncodeReuseStats *stats) const
 {
     const int F = geom_.config().features_per_level;
@@ -414,9 +409,8 @@ HashGrid::encodeBatchKernel(const Vec3 *pos, int count, float *out,
     ws_idx.resize(8 * size_t(kEncChunk));
     ws_w.resize(8 * size_t(kEncChunk));
 
-#if ASDR_ISA_HAS_X86_64_V3
-    const bool hw_gather =
-        F == 2 && isa::active() == isa::Target::X86_64_V3;
+#if ASDR_ISA_HAS_X86_64_LEVELS
+    const bool hw_gather = F == 2 && target != isa::Target::Default;
 #endif
     const uint32_t mask = geom_.tableSize() - 1u;
     for (int l = 0; l < L; ++l) {
@@ -459,7 +453,7 @@ HashGrid::encodeBatchKernel(const Vec3 *pos, int count, float *out,
             }
 
             // ---- pass 2: gather + interpolate across points (AVX2
-            // hardware gathers for F=2 on the v3 target, else
+            // hardware gathers for F=2 on the v3 and v4 targets, else
             // register-blocked lanes). Lanes are independent points,
             // each accumulating corner 0..7 per output feature in the
             // scalar order with separate multiply and add (the build
@@ -467,7 +461,7 @@ HashGrid::encodeBatchKernel(const Vec3 *pos, int count, float *out,
             // (util/isa.hpp) is bitwise equal to encode(). The level's
             // table segment is the only gathered region, so it alone
             // streams through the cache.
-#if ASDR_ISA_HAS_X86_64_V3
+#if ASDR_ISA_HAS_X86_64_LEVELS
             if (hw_gather) {
                 interpolateF2Avx2(base, ws_idx.data(), ws_w.data(), cn,
                                   out + size_t(c0) * size_t(out_stride) +
@@ -558,6 +552,15 @@ HashGrid::encodeBatchKernel(const Vec3 *pos, int count, float *out,
         }
     }
 }
+
+void
+HashGrid::encodeBatch(const Vec3 *pos, int count, float *out,
+                      int out_stride, EncodeReuseStats *stats) const
+{
+    ASDR_ISA_DISPATCH(
+        T, encodeBatchKernel(T, pos, count, out, out_stride, stats));
+}
+
 
 void
 HashGrid::encode(const Vec3 &pos, float *out, EncodeCache &cache) const

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "util/isa.hpp"
 #include "util/vec.hpp"
 
 namespace asdr::nerf {
@@ -149,8 +150,8 @@ class HashGrid
      * weights for the slice, across points in SIMD lanes, into
      * corner-major SoA workspaces, then (2) a gather/interpolate pass
      * reads each corner's index and weight lanes unit-stride. For F=2
-     * (the NGP config) the x86-64-v3 target runs pass 2 with AVX2
-     * hardware gathers, 4 points per iteration; the default target,
+     * (the NGP config) the x86-64-v3 and -v4 targets run pass 2 with
+     * AVX2 hardware gathers, 4 points per iteration; the default target,
      * and every F != 2, runs the scalar register-blocked loop, which is
      * the reference. Dispatched at runtime to the best ISA target
      * (util/isa.hpp); every target is bit-identical to per-point
@@ -189,9 +190,10 @@ class HashGrid
 
   private:
     /** encodeBatch's one kernel body, inlined into each ISA target's
-     *  entry point (util/isa.hpp). */
-    void encodeBatchKernel(const Vec3 *pos, int count, float *out,
-                           int out_stride, EncodeReuseStats *stats) const;
+     *  entry point (util/isa.hpp); `target` is that entry's target. */
+    void encodeBatchKernel(isa::Target target, const Vec3 *pos, int count,
+                           float *out, int out_stride,
+                           EncodeReuseStats *stats) const;
 
     /** dst[0..F) = sum_i w[i] * table[idx[i]] at level `l` -- the one
      *  scalar interpolate shared by every encode() variant. */

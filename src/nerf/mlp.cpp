@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <type_traits>
 
 #include "util/isa.hpp"
 #include "util/logging.hpp"
@@ -11,8 +12,22 @@ namespace asdr::nerf {
 
 namespace {
 
-/** Lane width of the register-blocked batch kernels. */
-constexpr int kLaneBlock = 16;
+/**
+ * Widest lane block of the register-blocked batch kernels on target `t`
+ * (util/isa.hpp). A 4-row block needs enough independent add chains to
+ * hide add latency: 16 lanes are two ymm per row on x86-64-v3 (8
+ * chains) but one zmm per row on x86-64-v4 (4 chains, latency-bound),
+ * so v4 runs 32 lanes.
+ */
+constexpr int
+laneBlock(isa::Target t)
+{
+    return t == isa::Target::X86_64_V4 ? 32 : 16;
+}
+
+/** Narrowest lane block: the whole block on v3 and default, and a
+ *  wider target's last <= 16 points. */
+constexpr int kMinLaneBlock = 16;
 
 /** Output rows accumulated together over one lane block. */
 constexpr int kRowBlock = 4;
@@ -20,62 +35,82 @@ constexpr int kRowBlock = 4;
 /**
  * acc[r][p] = bias[r] + w[r][0]*lanes0[p] + w[r][1]*lanes1[p] + ... for
  * R consecutive output rows r of one layer (weights row-major, `in`
- * wide). Lanes are independent points, and the build pins
- * -ffp-contract=off, so each lane does exactly the scalar forward()'s
- * separate multiply and add in the same order: every ISA target
- * (util/isa.hpp), lane width and row block is bitwise equal to
- * forward(). Blocking R rows gives R x kLaneBlock independent add
- * chains that share every lane load, so the kernel is bound by add
- * throughput rather than by one chain's add latency. The pragma (a
- * no-op without -fopenmp-simd) keeps the lanes in vector registers.
+ * wide) over a block of L lanes. Lanes are independent points, and the
+ * build pins -ffp-contract=off, so each lane does exactly the scalar
+ * forward()'s separate multiply and add in the same order: every ISA
+ * target (util/isa.hpp), lane width and row block is bitwise equal to
+ * forward(). Blocking R rows gives R x L independent add chains that
+ * share every lane load, so the kernel is bound by add throughput
+ * rather than by one chain's add latency. The pragma (a no-op without
+ * -fopenmp-simd) keeps the lanes in vector registers.
  */
-template <int R>
+template <int R, int L>
 __attribute__((always_inline)) inline void
 accumulateRows(const float *__restrict w, const float *__restrict bias,
-               int in, const float *__restrict lanes,
-               float (&acc)[R][kLaneBlock])
+               int in, const float *__restrict lanes, float (&acc)[R][L])
 {
     for (int r = 0; r < R; ++r)
-        for (int p = 0; p < kLaneBlock; ++p)
+        for (int p = 0; p < L; ++p)
             acc[r][p] = bias[r];
     for (int i = 0; i < in; ++i) {
-        const float *__restrict lane = lanes + size_t(i) * kLaneBlock;
+        const float *__restrict lane = lanes + size_t(i) * L;
         for (int r = 0; r < R; ++r) {
             const float wv = w[size_t(r) * size_t(in) + size_t(i)];
 #pragma omp simd
-            for (int p = 0; p < kLaneBlock; ++p)
+            for (int p = 0; p < L; ++p)
                 acc[r][p] += wv * lane[p];
         }
     }
 }
 
 /**
- * One layer over one feature-major lane block (lane p of input i at
- * lanes[i * kLaneBlock + p]): rows in blocks of kRowBlock, the
- * remainder one at a time, each finished row handed to
- * `emit(o, acc)` with its kLaneBlock pre-activation values. THE
- * matvec shared by both forwardBatch variants -- this one function is
- * the whole bit-identity contract.
+ * One layer over one feature-major block of L lanes (lane p of input i
+ * at lanes[i * L + p]): rows in blocks of kRowBlock, the remainder one
+ * at a time, each finished row handed to `emit(o, acc)` with its L
+ * pre-activation values. THE matvec shared by both forwardBatch
+ * variants -- this one function is the whole bit-identity contract.
  */
-template <typename Emit>
+template <int L, typename Emit>
 __attribute__((always_inline)) inline void
 layerLanes(const float *w, const float *bias, int in, int out,
            const float *lanes, Emit &&emit)
 {
     int o = 0;
     for (; o + kRowBlock <= out; o += kRowBlock) {
-        float acc[kRowBlock][kLaneBlock];
-        accumulateRows<kRowBlock>(w + size_t(o) * size_t(in), bias + o, in,
-                                  lanes, acc);
+        float acc[kRowBlock][L];
+        accumulateRows<kRowBlock, L>(w + size_t(o) * size_t(in), bias + o,
+                                     in, lanes, acc);
         for (int r = 0; r < kRowBlock; ++r)
             emit(o + r, acc[r]);
     }
     for (; o < out; ++o) {
-        float acc[1][kLaneBlock];
-        accumulateRows<1>(w + size_t(o) * size_t(in), bias + o, in, lanes,
-                          acc);
+        float acc[1][L];
+        accumulateRows<1, L>(w + size_t(o) * size_t(in), bias + o, in,
+                             lanes, acc);
         emit(o, acc[0]);
     }
+}
+
+/**
+ * Splits `count` points into lane blocks for a kernel whose widest
+ * block is kLanes, calling block(std::integral_constant<int, L>(), p0,
+ * bn) for the bn live points from p0 of each: kLanes-wide blocks while
+ * more than kMinLaneBlock points are left, then one kMinLaneBlock-wide
+ * block for the rest, so a short tail does not pay for a wide block of
+ * dead lanes.
+ */
+template <int kLanes, typename Block>
+__attribute__((always_inline)) inline void
+forEachLaneBlock(int count, Block &&block)
+{
+    constexpr int kTail = kLanes > kMinLaneBlock ? kMinLaneBlock : 0;
+    int p0 = 0;
+    for (; count - p0 > kTail; p0 += kLanes)
+        block(std::integral_constant<int, kLanes>(), p0,
+              std::min(kLanes, count - p0));
+    if constexpr (kTail > 0)
+        if (p0 < count)
+            block(std::integral_constant<int, kTail>(), p0, count - p0);
 }
 
 } // namespace
@@ -137,14 +172,7 @@ Mlp::forward(const float *in, float *out) const
     }
 }
 
-void
-Mlp::forwardBatch(const float *in, int count, int in_stride, float *out,
-                  int out_stride) const
-{
-    ASDR_ISA_DISPATCH(forwardBatchKernel(in, count, in_stride, out,
-                                         out_stride));
-}
-
+template <int kLanes>
 __attribute__((always_inline)) inline void
 Mlp::forwardBatchKernel(const float *in, int count, int in_stride,
                         float *out, int out_stride) const
@@ -158,14 +186,14 @@ Mlp::forwardBatchKernel(const float *in, int count, int in_stride,
     // independent accumulator lanes the compiler vectorizes -- while
     // each weight row streams exactly once per block (see layerLanes;
     // results are bit-identical to the scalar path).
-    constexpr int kBlock = kLaneBlock;
     const size_t lane_w = std::max(size_t(cfg_.input), widest_);
     thread_local std::vector<float> acts_a, acts_b;
-    acts_a.resize(lane_w * size_t(kBlock));
-    acts_b.resize(lane_w * size_t(kBlock));
+    acts_a.resize(lane_w * size_t(kLanes));
+    acts_b.resize(lane_w * size_t(kLanes));
 
-    for (int p0 = 0; p0 < count; p0 += kBlock) {
-        const int bn = std::min(kBlock, count - p0);
+    forEachLaneBlock<kLanes>(count, [&](auto block, int p0, int bn)
+                                        __attribute__((always_inline)) {
+        constexpr int kBlock = decltype(block)::value;
         // Transpose the block's inputs into lanes; dead lanes are
         // zeroed so the arithmetic below stays finite.
         float *src_t = acts_a.data();
@@ -181,7 +209,7 @@ Mlp::forwardBatchKernel(const float *in, int count, int in_stride,
         for (size_t li = 0; li < layers_.size(); ++li) {
             const Layer &layer = layers_[li];
             const bool last = li + 1 == layers_.size();
-            layerLanes(
+            layerLanes<kBlock>(
                 layer.w.data(), layer.b.data(), layer.in, layer.out, src_t,
                 [&](int o, const float *acc) __attribute__((always_inline)) {
                     if (last) {
@@ -196,7 +224,15 @@ Mlp::forwardBatchKernel(const float *in, int count, int in_stride,
                 });
             std::swap(src_t, dst_t);
         }
-    }
+    });
+}
+
+void
+Mlp::forwardBatch(const float *in, int count, int in_stride, float *out,
+                  int out_stride) const
+{
+    ASDR_ISA_DISPATCH(T, forwardBatchKernel<laneBlock(T)>(
+                             in, count, in_stride, out, out_stride));
 }
 
 void
@@ -221,14 +257,7 @@ Mlp::forward(const float *in, float *out, MlpWorkspace &ws) const
     std::copy(ws.acts.back().begin(), ws.acts.back().end(), out);
 }
 
-void
-Mlp::forwardBatch(const float *in, int count, int in_stride, float *out,
-                  int out_stride, MlpBatchWorkspace &ws) const
-{
-    ASDR_ISA_DISPATCH(forwardBatchKernel(in, count, in_stride, out,
-                                         out_stride, ws));
-}
-
+template <int kLanes>
 __attribute__((always_inline)) inline void
 Mlp::forwardBatchKernel(const float *in, int count, int in_stride,
                         float *out, int out_stride,
@@ -242,7 +271,6 @@ Mlp::forwardBatchKernel(const float *in, int count, int in_stride,
     // per-sample forward() -- except every layer's activations are
     // written out row-major so backward(ws, p, ...) can replay any
     // sample.
-    constexpr int kBlock = kLaneBlock;
     ws.count = count;
     ws.acts.resize(layers_.size() + 1);
     ws.acts[0].resize(size_t(count) * size_t(cfg_.input));
@@ -258,10 +286,11 @@ Mlp::forwardBatchKernel(const float *in, int count, int in_stride,
         ws.acts[li + 1].resize(size_t(count) * size_t(layer.out));
         const float *src = ws.acts[li].data();
         float *dst = ws.acts[li + 1].data();
-        lanes.resize(size_t(layer.in) * size_t(kBlock));
+        lanes.resize(size_t(layer.in) * size_t(kLanes));
 
-        for (int p0 = 0; p0 < count; p0 += kBlock) {
-            const int bn = std::min(kBlock, count - p0);
+        forEachLaneBlock<kLanes>(count, [&](auto block, int p0, int bn)
+                                            __attribute__((always_inline)) {
+            constexpr int kBlock = decltype(block)::value;
             // Transpose the block's rows into feature-major lanes; dead
             // lanes are zeroed so the arithmetic stays finite.
             for (int i = 0; i < layer.in; ++i) {
@@ -272,7 +301,7 @@ Mlp::forwardBatchKernel(const float *in, int count, int in_stride,
                 for (int p = bn; p < kBlock; ++p)
                     lane[p] = 0.0f;
             }
-            layerLanes(
+            layerLanes<kBlock>(
                 layer.w.data(), layer.b.data(), layer.in, layer.out,
                 lanes.data(),
                 [&](int o, const float *acc) __attribute__((always_inline)) {
@@ -280,7 +309,7 @@ Mlp::forwardBatchKernel(const float *in, int count, int in_stride,
                         dst[size_t(p0 + p) * size_t(layer.out) + size_t(o)] =
                             last ? acc[p] : std::max(acc[p], 0.0f);
                 });
-        }
+        });
     }
 
     const std::vector<float> &last_acts = ws.acts.back();
@@ -288,6 +317,14 @@ Mlp::forwardBatchKernel(const float *in, int count, int in_stride,
         std::copy(last_acts.data() + size_t(p) * size_t(cfg_.output),
                   last_acts.data() + size_t(p + 1) * size_t(cfg_.output),
                   out + size_t(p) * size_t(out_stride));
+}
+
+void
+Mlp::forwardBatch(const float *in, int count, int in_stride, float *out,
+                  int out_stride, MlpBatchWorkspace &ws) const
+{
+    ASDR_ISA_DISPATCH(T, forwardBatchKernel<laneBlock(T)>(
+                             in, count, in_stride, out, out_stride, ws));
 }
 
 void

@@ -62,7 +62,8 @@ class Mlp
      * `count` forward() calls on every ISA target (util/isa.hpp); the
      * win is data movement and lane width: points are processed in
      * cache-sized blocks, each weight row is streamed once per block
-     * instead of once per point, and AVX2 hosts run 8-wide lanes.
+     * instead of once per point, and AVX2 and AVX-512 hosts run 8- and
+     * 16-wide lanes.
      */
     void forwardBatch(const float *in, int count, int in_stride, float *out,
                       int out_stride) const;
@@ -106,10 +107,13 @@ class Mlp
     void deserializeParams(const std::vector<float> &flat);
 
   private:
-    /** The forwardBatch kernel bodies, inlined into each ISA target's
-     *  entry point (util/isa.hpp). */
+    /** The forwardBatch kernel bodies over lane blocks of up to kLanes
+     *  points, inlined into each ISA target's entry point
+     *  (util/isa.hpp). */
+    template <int kLanes>
     void forwardBatchKernel(const float *in, int count, int in_stride,
                             float *out, int out_stride) const;
+    template <int kLanes>
     void forwardBatchKernel(const float *in, int count, int in_stride,
                             float *out, int out_stride,
                             MlpBatchWorkspace &ws) const;

@@ -124,30 +124,6 @@ class InstantNgpField : public RadianceField
         stats_thread_ = std::thread::id();
     }
 
-    /**
-     * Claim the hook iff no accumulator is currently attached -- engine
-     * sessions sharing one field race for it, and only one may win
-     * (the hook is a single pointer and strictly single-threaded).
-     * Release with detachEncodeReuseStats(the same pointer).
-     */
-    bool tryAttachEncodeReuseStats(EncodeReuseStats *stats) const
-    {
-        EncodeReuseStats *expected = nullptr;
-        if (!encode_stats_.compare_exchange_strong(
-                expected, stats, std::memory_order_acq_rel))
-            return false;
-        stats_thread_ = std::thread::id();
-        return true;
-    }
-
-    /** Release a tryAttach claim (no-op when `stats` does not hold it). */
-    void detachEncodeReuseStats(EncodeReuseStats *stats) const
-    {
-        EncodeReuseStats *expected = stats;
-        encode_stats_.compare_exchange_strong(expected, nullptr,
-                                              std::memory_order_acq_rel);
-    }
-
   private:
     /** Both color batch entries: point p's direction is
      *  dirs[p * dir_stride] (stride 0 = one shared direction). */

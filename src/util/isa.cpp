@@ -11,7 +11,14 @@ std::atomic<int> pinned{-1};
 const char *
 name(Target t)
 {
-    return t == Target::X86_64_V3 ? "x86-64-v3" : "default";
+    switch (t) {
+    case Target::X86_64_V3:
+        return "x86-64-v3";
+    case Target::X86_64_V4:
+        return "x86-64-v4";
+    default:
+        return "default";
+    }
 }
 
 bool
@@ -19,12 +26,14 @@ runs(Target t)
 {
     if (t == Target::Default)
         return true;
-#if ASDR_ISA_HAS_X86_64_V3
+#if ASDR_ISA_HAS_X86_64_LEVELS
     // __builtin_cpu_init makes the query safe even from a static
     // initializer that runs before libgcc's own CPU detection.
     static const bool v3 = (__builtin_cpu_init(),
                             __builtin_cpu_supports("x86-64-v3") != 0);
-    return v3;
+    static const bool v4 = (__builtin_cpu_init(),
+                            __builtin_cpu_supports("x86-64-v4") != 0);
+    return t == Target::X86_64_V4 ? v4 : v3;
 #else
     return false;
 #endif
@@ -33,8 +42,9 @@ runs(Target t)
 Target
 best()
 {
-    static const Target t =
-        runs(Target::X86_64_V3) ? Target::X86_64_V3 : Target::Default;
+    static const Target t = runs(Target::X86_64_V4)   ? Target::X86_64_V4
+                            : runs(Target::X86_64_V3) ? Target::X86_64_V3
+                                                      : Target::Default;
     return t;
 }
 

@@ -3,22 +3,29 @@
  * Runtime ISA dispatch for the hot kernels (hash-grid encode and the
  * batched MLP forward). A dispatched function keeps ONE kernel body --
  * an always-inline function -- and calls it through ASDR_ISA_DISPATCH,
- * which inlines it into two entry points: the build's baseline ISA (the
- * "default" target) and x86-64-v3 (AVX2, FMA, BMI2). The best target
- * the CPU runs is detected once per process; a portable build thus runs
- * 8-wide lanes on any AVX2 host without -march=native.
+ * which inlines it into three entry points: the build's baseline ISA
+ * (the "default" target), x86-64-v3 (AVX2, FMA, BMI2) and x86-64-v4
+ * (v3 plus AVX-512 F/BW/CD/DQ/VL). The best target the CPU runs is
+ * detected once per process; a portable build thus runs 8- or 16-wide
+ * lanes on any AVX2 or AVX-512 host without -march=native.
  *
  * Contract: every target is bitwise equal to the scalar reference. The
  * build pins -ffp-contract=off, so no target fuses a*b + c into an FMA,
  * and the kernels vectorize only across independent points, so the
  * lane width never changes one point's sequence of roundings.
  *
- * Usage (the kernel returns void):
+ * Usage (the kernel returns void). The macro names a constexpr Target
+ * (here `T`) that each entry point sees as its own target, so a kernel
+ * can pick per-target constants such as a lane block:
  *
  *     __attribute__((always_inline)) inline void kernel(args...) { ... }
- *     void entry(args...) { ASDR_ISA_DISPATCH(kernel(args...)); }
+ *     void entry(args...) { ASDR_ISA_DISPATCH(T, kernel(args...)); }
  *
- * On toolchains without the x86-64-v3 level (non-x86, or not GCC >= 12)
+ * Define the kernel (and any template it instantiates) before the entry
+ * point: GCC otherwise may emit an out-of-line copy built for the
+ * baseline ISA, and every target silently runs that.
+ *
+ * On toolchains without the x86-64 levels (non-x86, or not GCC >= 12)
  * the macro is a plain call and only the default target exists.
  */
 
@@ -30,9 +37,10 @@
 namespace asdr::isa {
 
 /** A compilation target of the dispatched kernels. */
-enum class Target { Default = 0, X86_64_V3 = 1 };
+enum class Target { Default = 0, X86_64_V3 = 1, X86_64_V4 = 2 };
 
-/** "default" or "x86-64-v3" (bench-row provenance, test names). */
+/** "default", "x86-64-v3" or "x86-64-v4" (bench-row provenance, test
+ *  names). */
 const char *name(Target t);
 
 /** True when this build compiled `t` and the CPU can run it. */
@@ -76,22 +84,46 @@ class ScopedTarget
 
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) &&     \
     __GNUC__ >= 12
-#define ASDR_ISA_HAS_X86_64_V3 1
-// The v3 ISA extensions added to the build's own (an arch= string would
-// clash with -march=native when inlining the kernel).
-#define ASDR_ISA_DISPATCH(call)                                            \
+#define ASDR_ISA_HAS_X86_64_LEVELS 1
+// Each level's ISA extensions added to the build's own (an arch= string
+// would clash with -march=native when inlining the kernel). No tune=:
+// it changes what the kernels compile to (see ROADMAP, ISA dispatch).
+#define ASDR_ISA_X86_64_V3_FEATURES                                        \
+    "avx,avx2,fma,bmi,bmi2,f16c,lzcnt,movbe,xsave"
+#define ASDR_ISA_X86_64_V4_FEATURES                                        \
+    ASDR_ISA_X86_64_V3_FEATURES ",avx512f,avx512bw,avx512cd,avx512dq,avx512vl"
+#define ASDR_ISA_DISPATCH(T, call)                                         \
     do {                                                                   \
-        if (::asdr::isa::active() == ::asdr::isa::Target::X86_64_V3)       \
-            [&]() __attribute__((target(                                   \
-                "avx,avx2,fma,bmi,bmi2,f16c,lzcnt,movbe,xsave"))) {        \
+        switch (::asdr::isa::active()) {                                   \
+        case ::asdr::isa::Target::X86_64_V4:                               \
+            [&]() __attribute__((target(ASDR_ISA_X86_64_V4_FEATURES))) {   \
+                [[maybe_unused]] constexpr ::asdr::isa::Target T =         \
+                    ::asdr::isa::Target::X86_64_V4;                        \
                 call;                                                      \
             }();                                                           \
-        else                                                               \
+            break;                                                         \
+        case ::asdr::isa::Target::X86_64_V3:                               \
+            [&]() __attribute__((target(ASDR_ISA_X86_64_V3_FEATURES))) {   \
+                [[maybe_unused]] constexpr ::asdr::isa::Target T =         \
+                    ::asdr::isa::Target::X86_64_V3;                        \
+                call;                                                      \
+            }();                                                           \
+            break;                                                         \
+        default: {                                                         \
+            [[maybe_unused]] constexpr ::asdr::isa::Target T =             \
+                ::asdr::isa::Target::Default;                              \
             call;                                                          \
+        }                                                                  \
+        }                                                                  \
     } while (0)
 #else
-#define ASDR_ISA_HAS_X86_64_V3 0
-#define ASDR_ISA_DISPATCH(call) call
+#define ASDR_ISA_HAS_X86_64_LEVELS 0
+#define ASDR_ISA_DISPATCH(T, call)                                         \
+    do {                                                                   \
+        [[maybe_unused]] constexpr ::asdr::isa::Target T =                 \
+            ::asdr::isa::Target::Default;                                  \
+        call;                                                              \
+    } while (0)
 #endif
 
 #endif // ASDR_UTIL_ISA_HPP

@@ -7,8 +7,9 @@
  * make targets round differently).
  *
  * The other bit-exactness gatekeepers run only the best target of the
- * host; this is the one test that also runs the default path on AVX2
- * hosts. A target the CPU cannot run is skipped with the reason.
+ * host; this is the one test that also runs the narrower targets on
+ * AVX2 and AVX-512 hosts. A target the CPU cannot run is skipped with
+ * the reason.
  */
 
 #include <gtest/gtest.h>
@@ -16,11 +17,11 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <iostream>
 #include <limits>
 #include <memory>
 #include <ostream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/renderer.hpp"
@@ -81,6 +82,19 @@ bitsOf(float v)
     return b;
 }
 
+/** Point counts that straddle every target's MLP lane blocks: 16 on
+ *  default and x86-64-v3; 32 on x86-64-v4, whose last <= 16 points run
+ *  one 16-lane block. */
+const std::vector<int> kMlpCounts = {1,  15, 16, 17, 31, 32, 33,
+                                     47, 48, 49, 63, 64, 65, 256};
+
+/** Bitwise equality of `n` floats (tells -0 from +0, unlike ==). */
+bool
+sameBits(const float *a, const float *b, size_t n)
+{
+    return std::memcmp(a, b, n * sizeof(float)) == 0;
+}
+
 /** encodeBatch == per-point encode(), bitwise. */
 void
 expectEncodeMatchesScalar(const HashGrid &grid, int count)
@@ -118,8 +132,8 @@ class IsaDispatch : public ::testing::TestWithParam<isa::Target>
     {
         if (!isa::runs(GetParam()))
             GTEST_SKIP() << isa::name(GetParam())
-                         << " not runnable here: the CPU lacks AVX2 or "
-                            "the toolchain does not build the target";
+                         << " not runnable here: the CPU lacks its ISA "
+                            "level or the toolchain does not build it";
         pin_ = std::make_unique<isa::ScopedTarget>(GetParam());
     }
 
@@ -131,6 +145,16 @@ class IsaDispatch : public ::testing::TestWithParam<isa::Target>
 
 } // namespace
 
+TEST(IsaBest, IsTheWidestRunnableTarget)
+{
+    // Printed so a CI log shows which targets this runner exercises.
+    std::cout << "best ISA target: " << isa::name(isa::best()) << "\n";
+    EXPECT_TRUE(isa::runs(isa::best()));
+    for (int t = int(isa::best()) + 1; t <= int(isa::Target::X86_64_V4); ++t)
+        EXPECT_FALSE(isa::runs(isa::Target(t)))
+            << isa::name(isa::Target(t)) << " runs but is not best()";
+}
+
 TEST_P(IsaDispatch, PinsTheActiveTarget)
 {
     EXPECT_EQ(isa::active(), GetParam());
@@ -140,29 +164,22 @@ TEST_P(IsaDispatch, MlpForwardBatchMatchesScalar)
 {
     // The second shape's widths are not multiples of the 4-row block,
     // so every layer also runs the one-row remainder path.
-    const std::pair<MlpConfig, std::vector<int>> cases[] = {
-        {{32, {64, 64}, 16}, {1, 5, 16, 77}},
-        {{31, {45, 7}, 3}, {1, 15, 17, 33}},
-    };
-    for (const auto &[cfg, counts] : cases) {
+    const MlpConfig cases[] = {{32, {64, 64}, 16}, {31, {45, 7}, 3}};
+    for (const MlpConfig &cfg : cases) {
         Mlp mlp(cfg, 7);
         const int in_dim = cfg.input, out_dim = cfg.output;
-        for (int count : counts) {
+        for (int count : kMlpCounts) {
             const std::vector<float> in =
                 gaussians(size_t(count) * size_t(in_dim), 8);
             std::vector<float> batch(size_t(count) * size_t(out_dim));
             mlp.forwardBatch(in.data(), count, in_dim, batch.data(),
                              out_dim);
-            std::vector<float> ref(static_cast<size_t>(out_dim));
-            for (int p = 0; p < count; ++p) {
+            std::vector<float> ref(batch.size());
+            for (int p = 0; p < count; ++p)
                 mlp.forward(in.data() + size_t(p) * size_t(in_dim),
-                            ref.data());
-                for (int o = 0; o < out_dim; ++o)
-                    ASSERT_EQ(batch[size_t(p) * size_t(out_dim) + size_t(o)],
-                              ref[size_t(o)])
-                        << "input " << in_dim << " count " << count
-                        << " point " << p << " out " << o;
-            }
+                            ref.data() + size_t(p) * size_t(out_dim));
+            ASSERT_TRUE(sameBits(batch.data(), ref.data(), batch.size()))
+                << "input " << in_dim << " count " << count;
         }
     }
 }
@@ -170,32 +187,31 @@ TEST_P(IsaDispatch, MlpForwardBatchMatchesScalar)
 TEST_P(IsaDispatch, MlpForwardBatchStridedOutput)
 {
     Mlp mlp({8, {16}, 4}, 9);
-    const int count = 21, in_stride = 10, stride = 11;
-    const std::vector<float> in = gaussians(size_t(count) * in_stride, 10);
-    std::vector<float> out(size_t(count) * size_t(stride), -1.0f);
-    mlp.forwardBatch(in.data(), count, in_stride, out.data(), stride);
-    for (int p = 0; p < count; ++p) {
-        float ref[4];
-        mlp.forward(in.data() + size_t(p) * in_stride, ref);
-        for (int o = 0; o < 4; ++o)
-            ASSERT_EQ(out[size_t(p) * size_t(stride) + size_t(o)], ref[o]);
-        for (int o = 4; o < stride; ++o)
-            ASSERT_EQ(out[size_t(p) * size_t(stride) + size_t(o)], -1.0f)
-                << "gap overwritten at point " << p;
+    const int in_stride = 10, stride = 11;
+    for (int count : kMlpCounts) {
+        const std::vector<float> in =
+            gaussians(size_t(count) * in_stride, 10);
+        std::vector<float> out(size_t(count) * size_t(stride), -1.0f);
+        mlp.forwardBatch(in.data(), count, in_stride, out.data(), stride);
+        // The reference writes the same rows into a same-shaped buffer,
+        // so one compare also proves the gaps were left alone.
+        std::vector<float> ref(out.size(), -1.0f);
+        for (int p = 0; p < count; ++p)
+            mlp.forward(in.data() + size_t(p) * in_stride,
+                        ref.data() + size_t(p) * size_t(stride));
+        ASSERT_TRUE(sameBits(out.data(), ref.data(), out.size()))
+            << "count " << count;
     }
 }
 
 TEST_P(IsaDispatch, MlpTrainingForwardBatchMatchesScalar)
 {
     // As above: the second shape runs the one-row remainder path.
-    const std::pair<MlpConfig, std::vector<int>> cases[] = {
-        {{12, {24, 20}, 5}, {37}},
-        {{31, {45, 7}, 3}, {1, 15, 17, 33}},
-    };
-    for (const auto &[cfg, counts] : cases) {
+    const MlpConfig cases[] = {{12, {24, 20}, 5}, {31, {45, 7}, 3}};
+    for (const MlpConfig &cfg : cases) {
         Mlp mlp(cfg, 11);
         const int in_dim = cfg.input, out_dim = cfg.output;
-        for (int count : counts) {
+        for (int count : kMlpCounts) {
             const std::vector<float> in =
                 gaussians(size_t(count) * size_t(in_dim), 12);
             std::vector<float> batch(size_t(count) * size_t(out_dim));
@@ -203,28 +219,24 @@ TEST_P(IsaDispatch, MlpTrainingForwardBatchMatchesScalar)
             mlp.forwardBatch(in.data(), count, in_dim, batch.data(),
                              out_dim, bws);
             ASSERT_EQ(bws.count, count);
-            std::vector<float> ref(static_cast<size_t>(out_dim));
+            std::vector<float> ref(batch.size());
             for (int p = 0; p < count; ++p) {
                 MlpWorkspace ws;
                 mlp.forward(in.data() + size_t(p) * size_t(in_dim),
-                            ref.data(), ws);
-                for (int o = 0; o < out_dim; ++o)
-                    ASSERT_EQ(batch[size_t(p) * size_t(out_dim) + size_t(o)],
-                              ref[size_t(o)])
-                        << "input " << in_dim << " count " << count
-                        << " point " << p << " out " << o;
+                            ref.data() + size_t(p) * size_t(out_dim), ws);
                 // Every retained activation, so backward replays
                 // exactly.
                 for (size_t li = 1; li < ws.acts.size(); ++li) {
                     const size_t width = ws.acts[li].size();
-                    for (size_t k = 0; k < width; ++k)
-                        ASSERT_EQ(bws.acts[li][size_t(p) * width + k],
-                                  ws.acts[li][k])
-                            << "input " << in_dim << " count " << count
-                            << " point " << p << " layer " << li
-                            << " unit " << k;
+                    ASSERT_TRUE(sameBits(bws.acts[li].data() +
+                                             size_t(p) * width,
+                                         ws.acts[li].data(), width))
+                        << "input " << in_dim << " count " << count
+                        << " point " << p << " layer " << li;
                 }
             }
+            ASSERT_TRUE(sameBits(batch.data(), ref.data(), batch.size()))
+                << "input " << in_dim << " count " << count;
         }
     }
 }
@@ -302,18 +314,20 @@ TEST_P(IsaDispatch, NgpFieldFrameMatchesScalar)
 TEST_P(IsaDispatch, LibraryKernelsDoNotFuseMultiplyAdd)
 {
     // One linear unit: out = b + w * in with w = in = x and b = -y.
+    // 48 points run a 32-lane and a 16-lane block on x86-64-v4.
     Mlp mlp({1, {}, 1}, 1);
     mlp.deserializeParams({kCanaryX, -kCanaryY});
-    const std::vector<float> in(16, kCanaryX);
+    constexpr int kCount = 48;
+    const std::vector<float> in(kCount, kCanaryX);
     float ref = -1.0f;
     mlp.forward(in.data(), &ref);
     EXPECT_EQ(ref, 0.0f) << "scalar forward() fused a*b + c";
-    std::vector<float> out(16, -1.0f);
-    mlp.forwardBatch(in.data(), 16, 1, out.data(), 1);
+    std::vector<float> out(kCount, -1.0f);
+    mlp.forwardBatch(in.data(), kCount, 1, out.data(), 1);
     MlpBatchWorkspace ws;
-    std::vector<float> train_out(16, -1.0f);
-    mlp.forwardBatch(in.data(), 16, 1, train_out.data(), 1, ws);
-    for (int p = 0; p < 16; ++p) {
+    std::vector<float> train_out(kCount, -1.0f);
+    mlp.forwardBatch(in.data(), kCount, 1, train_out.data(), 1, ws);
+    for (int p = 0; p < kCount; ++p) {
         EXPECT_EQ(out[size_t(p)], 0.0f) << "forwardBatch fused, lane " << p;
         EXPECT_EQ(train_out[size_t(p)], 0.0f)
             << "training forwardBatch fused, lane " << p;
@@ -324,19 +338,20 @@ TEST_P(IsaDispatch, CompilerFlagsDoNotFuseMultiplyAdd)
 {
     // Through volatile so the expression is evaluated at run time, and
     // through the dispatch macro so it is compiled for this target too
-    // (the v3 target has FMA; fusion would show there first).
+    // (the v3 and v4 targets have FMA; fusion would show there first).
     volatile float vx = kCanaryX;
     volatile float vy = kCanaryY;
     const float x = vx;
     const float y = vy;
     float r = -1.0f;
-    ASDR_ISA_DISPATCH(r = x * x - y);
+    ASDR_ISA_DISPATCH(T, r = x * x - y);
     EXPECT_EQ(r, 0.0f) << "x*x - y was contracted into an FMA";
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Targets, IsaDispatch,
-    ::testing::Values(isa::Target::Default, isa::Target::X86_64_V3),
+    ::testing::Values(isa::Target::Default, isa::Target::X86_64_V3,
+                      isa::Target::X86_64_V4),
     [](const ::testing::TestParamInfo<isa::Target> &info) {
         std::string n = isa::name(info.param);
         for (char &c : n)
